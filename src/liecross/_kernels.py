@@ -1,4 +1,4 @@
-"""Pure Python enumeration kernels.
+"""Enumeration kernels: the two scans behind morphism and derivation search.
 
 A candidate index names a rows x cols matrix over GF(p): entries are base-p
 digits of the index in row-major order, first entry most significant.  Each
@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+# Reported as liecross.KERNEL_BACKEND: the kernels are plain Python.
 BACKEND = "pure"
 
 
-def _decode(index: int, p: int, n: int) -> list[int]:
+def decode(index: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of index, most significant first."""
     digits = [0] * n
     for t in range(n - 1, -1, -1):
         index, digits[t] = divmod(index, p)
@@ -84,7 +86,7 @@ def _pruned_scan(p, constraints, n, start, stop):
     # block[t]: candidates sharing digits 0..t.
     block = [p ** (n - 1 - t) for t in range(n)]
     out = []
-    digits = _decode(start, p, n)
+    digits = decode(start, p, n)
     idx = start
     changed = 0
     while idx < stop:

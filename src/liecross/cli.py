@@ -234,7 +234,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="largest candidate space a single scan may walk")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for enumeration scans")
+                        help="accepted for compatibility; no effect on output, "
+                             "scans run in one thread")
     common.add_argument("--format", choices=("text", "structured"),
                         default="text", help="report stream format")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -55,6 +55,18 @@ class InvalidDerivationError(LiecrossError):
         super().__init__(f"derivation law violated{where}")
 
 
+class InvariantError(LiecrossError):
+    """A derived result broke an invariant the library relies on.
+
+    Valid inputs never raise it; unvalidated ones can, e.g. a crossed module
+    that fails an axiom.  Carries the `report` that witnesses the breach.
+    """
+
+    def __init__(self, message, report):
+        self.report = report
+        super().__init__(message)
+
+
 class FiniteFieldRequiredError(LiecrossError):
     """Exhaustive enumeration was requested over an infinite field."""
 

@@ -14,27 +14,25 @@ only materialized for accepted results.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import mul
 
 from . import _kernels
+from ._kernels import decode
 from .algebras import CrossedModule, LieAction, LieAlgebra
 from .errors import (
     BudgetExceededError,
     FieldMismatchError,
     FiniteFieldRequiredError,
+    InvariantError,
 )
 from .fields import FieldSpec, same_field
 from .homotopy import Derivation, identity_homotopy, shift_morphism
 from .linalg import LinearMap
-from .morphisms import CrossedMorphism
+from .morphisms import CrossedMorphism, validate_crossed_morphism
 from .validation import ValidationReport
 
 DEFAULT_BUDGET = 100_000_000
-
-# Ranges smaller than this are not worth splitting across workers.
-_MIN_CHUNK = 4096
 
 _scan_cache: dict[tuple, tuple[int, ...]] = {}
 _scan_cache_lock = threading.Lock()
@@ -76,30 +74,15 @@ def _check_budget(space: int, budget: int, what: str):
         raise BudgetExceededError(space, budget, what)
 
 
-def _residue(scalar) -> int:
-    return scalar.num
-
-
 def _flat_structure(algebra: LieAlgebra) -> tuple[int, ...]:
     n = algebra.dim
     c = algebra.structure
-    return tuple(_residue(c[i][j][k])
+    return tuple(c[i][j][k].num
                  for i in range(n) for j in range(n) for k in range(n))
 
 
-def _int_matrix(m: LinearMap) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(_residue(e) for e in row) for row in m.entries)
-
-
-def _digits(index: int, p: int, n: int) -> list[int]:
-    digits = [0] * n
-    for t in range(n - 1, -1, -1):
-        index, digits[t] = divmod(index, p)
-    return digits
-
-
 def _digit_matrix(index: int, p: int, rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    d = _digits(index, p, rows * cols)
+    d = decode(index, p, rows * cols)
     return tuple(tuple(d[r * cols:(r + 1) * cols]) for r in range(rows))
 
 
@@ -123,7 +106,7 @@ def _matrices_from_indices(field: FieldSpec, indices, rows: int,
             row = built.get(value)
             if row is None:
                 row = built[value] = tuple([residues[d]
-                                            for d in _digits(value, p, cols)])
+                                            for d in decode(value, p, cols)])
             entries.append(row)
         out.append(LinearMap(field, rows, cols, tuple(entries)))
     return out
@@ -136,26 +119,7 @@ def _matmul_mod(a, b, cols: int, p: int) -> tuple[tuple[int, ...], ...]:
                   for row in a])
 
 
-def _scan(fn, args: tuple, total: int, workers: int) -> list[int]:
-    """Run a kernel over [0, total), splitting into contiguous worker ranges.
-
-    Compiled kernels drop the GIL, so threads scan in parallel; chunk results
-    concatenate back in range order and are sorted for safety, making the
-    output independent of the worker count.
-    """
-    if workers <= 1 or total < 2 * _MIN_CHUNK:
-        return list(fn(*args, 0, total))
-    chunk = -(-total // workers)
-    bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        parts = list(pool.map(lambda b: fn(*args, b[0], b[1]), bounds))
-    merged = [idx for part in parts for idx in part]
-    merged.sort()
-    return merged
-
-
-def _lie_morphism_scan(p: int, dom: LieAlgebra, cod: LieAlgebra,
-                       workers: int) -> tuple[int, ...]:
+def _lie_morphism_scan(p: int, dom: LieAlgebra, cod: LieAlgebra) -> tuple[int, ...]:
     """Cached full scan of Lie morphisms dom -> cod over GF(p)."""
     dom_br = _flat_structure(dom)
     cod_br = _flat_structure(cod)
@@ -164,9 +128,8 @@ def _lie_morphism_scan(p: int, dom: LieAlgebra, cod: LieAlgebra,
         hit = _scan_cache.get(key)
     if hit is not None:
         return hit
-    total = p ** (cod.dim * dom.dim)
-    found = tuple(_scan(_kernels.scan_lie_morphisms,
-                        (p, dom_br, cod_br, cod.dim, dom.dim), total, workers))
+    found = tuple(_kernels.scan_lie_morphisms(p, dom_br, cod_br, cod.dim, dom.dim,
+                                              0, p ** (cod.dim * dom.dim)))
     with _scan_cache_lock:
         _scan_cache[key] = found
     return found
@@ -176,7 +139,7 @@ def _action_matrices(action: LieAction) -> list[tuple[tuple[int, ...], ...]]:
     """mats[i][r][b] = r-th coordinate of e_i . e_b, as plain residues."""
     t = action.tensor
     m = action.acted.dim
-    return [tuple(tuple(_residue(t[i][b][r]) for b in range(m)) for r in range(m))
+    return [tuple(tuple(t[i][b][r].num for b in range(m)) for r in range(m))
             for i in range(action.actor.dim)]
 
 
@@ -204,7 +167,8 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
 
     Results are sorted by the base-p odometer over concatenated (f1, f0)
     matrix entries, f1 block most significant; deterministic for fixed
-    inputs regardless of worker count.
+    inputs.  workers is accepted for compatibility and has no effect: the
+    scans run in the calling thread.
     """
     if not same_field(source.field, target.field):
         raise FieldMismatchError("modules over different fields")
@@ -216,13 +180,13 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     _check_budget(p ** (dm2 * dm), budget, "f1 component scan")
     _check_budget(p ** (dp2 * dp), budget, "f0 component scan")
 
-    s1 = _lie_morphism_scan(p, source.m_algebra, target.m_algebra, workers)
-    s0 = _lie_morphism_scan(p, source.p_algebra, target.p_algebra, workers)
+    s1 = _lie_morphism_scan(p, source.m_algebra, target.m_algebra)
+    s0 = _lie_morphism_scan(p, source.p_algebra, target.p_algebra)
     if not s1 or not s0:
         return []
 
-    b_src = _int_matrix(source.boundary)
-    b_dst = _int_matrix(target.boundary)
+    b_src = source.boundary._residue_rows
+    b_dst = target.boundary._residue_rows
 
     act_src = _action_matrices(source.action)
     act_dst = _action_matrices(target.action)
@@ -265,7 +229,10 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
 
 def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
                           workers: int = 1) -> list[Derivation]:
-    """All derivations along f over a prime field, in odometer order."""
+    """All derivations along f over a prime field, in odometer order.
+
+    workers is accepted for compatibility and has no effect.
+    """
     _require_prime(f.source.field)
     field = f.source.field
     p = field.p
@@ -277,30 +244,37 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
     cod_br = _flat_structure(f.target.m_algebra)
     mats = _action_matrices(f.target.action)
     rho = [_acting_matrix(col, mats, rows, p)
-           for col in _columns(_int_matrix(f.f0), cols)]
+           for col in _columns(f.f0._residue_rows, cols)]
     act_flat = tuple(rho[i][r][b]
                      for i in range(cols) for b in range(rows) for r in range(rows))
 
-    total = p ** (rows * cols)
-    found = _scan(_kernels.scan_derivations,
-                  (p, dom_br, act_flat, cod_br, rows, cols), total, workers)
+    found = _kernels.scan_derivations(p, dom_br, act_flat, cod_br, rows, cols,
+                                      0, p ** (rows * cols))
     return [Derivation(f, d) for d in _matrices_from_indices(field, found, rows, cols)]
 
 
 def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
                        budget: int = DEFAULT_BUDGET,
                        workers: int = 1) -> HomGroupoid:
-    """Objects, then all derivations at each object with resolved targets."""
-    objects = enumerate_morphisms(source, target, budget=budget, workers=workers)
-    position = {(_int_matrix(f.f1), _int_matrix(f.f0)): i
+    """Objects, then all derivations at each object with resolved targets.
+
+    Every homotopy target is itself a morphism, so it was enumerated; when
+    one is missing (the modules break an axiom they were not validated
+    against) InvariantError carries the target's morphism report.  workers
+    has no effect.
+    """
+    objects = enumerate_morphisms(source, target, budget=budget)
+    position = {(f.f1._residue_rows, f.f0._residue_rows): i
                 for i, f in enumerate(objects)}
     arrows = []
     for i, f in enumerate(objects):
-        for der in enumerate_derivations(f, budget=budget, workers=workers):
+        for der in enumerate_derivations(f, budget=budget):
             g = shift_morphism(f, der.d)
-            j = position.get((_int_matrix(g.f1), _int_matrix(g.f0)))
-            # Every homotopy target is itself a morphism, so it was enumerated.
-            assert j is not None, "homotopy target missing from object list"
+            j = position.get((g.f1._residue_rows, g.f0._residue_rows))
+            if j is None:
+                raise InvariantError(
+                    f"a homotopy target at object {i} is missing from the "
+                    "object list", validate_crossed_morphism(g))
             arrows.append(Arrow(i, j, der))
     return HomGroupoid(source, target, tuple(objects), tuple(arrows))
 
@@ -328,11 +302,11 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
             report.fail("endpoints", (t + 1,),
                         "arrow target", f"objects[{a.dst}]")
 
-    by_key = {(a.src, _int_matrix(a.derivation.d)): t
+    by_key = {(a.src, a.derivation.d._residue_rows): t
               for t, a in enumerate(arrows)}
 
     def zero_key(i: int):
-        return (i, _int_matrix(identity_homotopy(objects[i]).d))
+        return (i, identity_homotopy(objects[i]).d._residue_rows)
 
     # Identity arrows exist and are two-sided units.
     for i in range(len(objects)):
@@ -348,7 +322,7 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
     # Inverses: -d anchored at the target, composing to identities both ways.
     zero_maps = {i: identity_homotopy(objects[i]).d for i in range(len(objects))}
     for t, a in enumerate(arrows):
-        inv_key = (a.dst, _int_matrix(-a.derivation.d))
+        inv_key = (a.dst, (-a.derivation.d)._residue_rows)
         if inv_key not in by_key:
             report.fail("inverse", (t + 1,), "no inverse arrow", "-d at target")
             continue
@@ -395,11 +369,18 @@ def homotopy_classes(groupoid: HomGroupoid) -> list[list[int]]:
     """Connected components of the groupoid, as sorted 0-based object indices.
 
     Components are ordered by smallest member.  Directed and undirected
-    reachability agree because every arrow has an inverse; the symmetry is
-    asserted here rather than re-proved.
+    reachability agree because every arrow has an inverse.  The symmetry is
+    checked rather than re-proved: an arrow i -> j without some arrow
+    j -> i raises InvariantError, whose report names the first such pair.
     """
     edges = {(a.src, a.dst) for a in groupoid.arrows}
-    assert all((j, i) in edges for i, j in edges), "arrow set is not symmetric"
+    one_way = min(((i, j) for i, j in edges if (j, i) not in edges), default=None)
+    if one_way is not None:
+        i, j = one_way
+        report = ValidationReport(str(groupoid))
+        report.fail("inverse", (i + 1, j + 1), f"arrow {i} -> {j}",
+                    f"no arrow {j} -> {i}")
+        raise InvariantError("arrow set is not symmetric", report)
     uf = _UnionFind(len(groupoid.objects))
     for i, j in edges:
         uf.union(i, j)

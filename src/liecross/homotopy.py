@@ -18,6 +18,7 @@ from .errors import (
     EndpointMismatchError,
     FieldMismatchError,
     InvalidDerivationError,
+    InvariantError,
     ShapeMismatchError,
 )
 from .fields import same_field
@@ -99,7 +100,9 @@ def homotopy_target(f: CrossedMorphism, d: LinearMap,
 
     With verify on, d must pass is_f0_derivation (otherwise
     InvalidDerivationError carries the failing report) and the resulting g is
-    re-validated as a crossed-module morphism before being returned.
+    re-validated as a crossed-module morphism before being returned
+    (otherwise InvariantError carries g's report; f was not a morphism, or
+    the modules break an axiom).
     """
     if verify:
         report = is_f0_derivation(d, f)
@@ -107,7 +110,10 @@ def homotopy_target(f: CrossedMorphism, d: LinearMap,
             raise InvalidDerivationError(report)
     g = shift_morphism(f, d)
     if verify:
-        assert validate_crossed_morphism(g).ok
+        report = validate_crossed_morphism(g)
+        if not report.ok:
+            raise InvariantError("shifted map is not a crossed-module morphism",
+                                 report)
     return g
 
 

@@ -1,5 +1,5 @@
 """Exhaustive enumeration over prime fields, cross-checked against the
-independent brute-force oracle and across kernel backends."""
+independent brute-force oracle."""
 
 import pytest
 
@@ -21,7 +21,8 @@ from liecross.errors import (
     FieldMismatchError,
     FiniteFieldRequiredError,
 )
-from liecross._kernels import pure as pure_kernels
+from liecross import _kernels, groupoid
+from liecross.groupoid import _flat_structure
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
@@ -168,47 +169,35 @@ class TestGuards:
 
 class TestKernelBackends:
     def test_active_backend_is_reported(self):
-        assert KERNEL_BACKEND in ("pure", "native")
+        assert KERNEL_BACKEND == "pure"
 
-    def _native_or_skip(self):
-        try:
-            from liecross._kernels import _native
-        except ImportError:
-            pytest.skip("compiled kernels not built")
-        return _native
+    def test_scans_are_looked_up_at_call_time(self, monkeypatch):
+        # Tracers patch the kernels on the module, so enumerations must reach
+        # them through it, with the whole range as the trailing (start, stop).
+        calls = []
 
-    def _flat_structure(self, algebra):
-        n = algebra.dim
-        return tuple(algebra.structure[i][j][k].num
-                     for i in range(n) for j in range(n) for k in range(n))
+        def recording(name):
+            kernel = getattr(_kernels, name)
 
-    def test_backends_agree_on_lie_scans(self):
-        native = self._native_or_skip()
-        cases = [
-            (3, battery.affine2(GF3), battery.affine2(GF3)),
-            (2, battery.heisenberg3(GF2), battery.heisenberg3(GF2)),
-            (5, battery.affine2(GF5), LieAlgebra.abelian("ab", GF5, 2)),
-        ]
-        for p, dom, cod in cases:
-            dom_br, cod_br = self._flat_structure(dom), self._flat_structure(cod)
-            rows, cols = cod.dim, dom.dim
-            total = p ** (rows * cols)
-            args = (p, dom_br, cod_br, rows, cols, 0, total)
-            assert pure_kernels.scan_lie_morphisms(*args) \
-                == native.scan_lie_morphisms(*args)
+            def wrapper(*args):
+                calls.append((name, args[-2:]))
+                return kernel(*args)
+            return wrapper
 
-    def test_backends_agree_on_derivation_scans(self):
-        native = self._native_or_skip()
-        h3 = battery.heisenberg3(GF3)
-        br = self._flat_structure(h3)
-        # identity action table: e_i acting through the adjoint tensor
-        n = h3.dim
-        act = tuple(h3.structure[i][b][r].num
-                    for i in range(n) for b in range(n) for r in range(n))
-        total = 3 ** (n * n)
-        args = (3, br, act, br, n, n, 0, total)
-        assert pure_kernels.scan_derivations(*args) \
-            == native.scan_derivations(*args)
+        for name in ("scan_lie_morphisms", "scan_derivations"):
+            monkeypatch.setattr(_kernels, name, recording(name))
+        monkeypatch.setattr(groupoid, "_scan_cache", {})
+        p = 3
+        xaff = battery.x_aff(GF3)
+        objects = enumerate_morphisms(xaff, xaff)
+        # f1: span_e2 -> span_e2 is 1x1, f0: affine2 -> affine2 is 2x2.
+        assert sorted(calls) == [("scan_lie_morphisms", (0, p ** 1)),
+                                 ("scan_lie_morphisms", (0, p ** 4))]
+        calls.clear()
+        derivations = enumerate_derivations(objects[0])
+        # d: affine2 -> span_e2 is 1x2.
+        assert calls == [("scan_derivations", (0, p ** 2))]
+        assert derivations
 
     @staticmethod
     def _h3_oracle(p):
@@ -244,7 +233,7 @@ class TestKernelBackends:
         br = tuple(c for row in x.p_br for cell in row for c in cell)
         args = (p, br, self._oracle_act_table(x, f0), br, 3, 3)
         total = p ** 9
-        assert pure_kernels.scan_derivations(*args, 0, total) == expected
+        assert _kernels.scan_derivations(*args, 0, total) == expected
 
         # Cut points inside the widest gaps between survivors, where the scan
         # jumps over whole blocks of failing candidates: every range starting
@@ -256,20 +245,20 @@ class TestKernelBackends:
         for lo in cuts:
             for hi in cuts:
                 if lo <= hi:
-                    assert pure_kernels.scan_derivations(*args, lo, hi) \
+                    assert _kernels.scan_derivations(*args, lo, hi) \
                         == [i for i in expected if lo <= i < hi]
         edges = [0] + cuts + [total]
         split = []
         for lo, hi in zip(edges, edges[1:]):
-            split.extend(pure_kernels.scan_derivations(*args, lo, hi))
+            split.extend(_kernels.scan_derivations(*args, lo, hi))
         assert split == expected
 
     def test_range_partition_is_seamless(self):
         aff = battery.affine2(GF3)
-        br = self._flat_structure(aff)
+        br = _flat_structure(aff)
         total = 3 ** 4
-        whole = pure_kernels.scan_lie_morphisms(3, br, br, 2, 2, 0, total)
+        whole = _kernels.scan_lie_morphisms(3, br, br, 2, 2, 0, total)
         split = []
         for lo, hi in ((0, 17), (17, 50), (50, total)):
-            split.extend(pure_kernels.scan_lie_morphisms(3, br, br, 2, 2, lo, hi))
+            split.extend(_kernels.scan_lie_morphisms(3, br, br, 2, 2, lo, hi))
         assert split == whole

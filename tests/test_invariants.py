@@ -1,0 +1,99 @@
+"""Invariant checks raise library errors, also under `python -O`.
+
+Each input below skips validation and breaks one invariant that enumeration
+and the homotopy calculus rely on.  The checks must raise InvariantError with
+a failing report, not AssertionError, so they survive `-O`.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import battery
+from liecross import (
+    Arrow,
+    CrossedModule,
+    CrossedMorphism,
+    FieldSpec,
+    HomGroupoid,
+    LieAction,
+    LieAlgebra,
+    LinearMap,
+    build_hom_groupoid,
+    homotopy_classes,
+    homotopy_target,
+    identity_homotopy,
+    identity_morphism,
+)
+from liecross.errors import LiecrossError
+
+GF3 = FieldSpec.prime(3)
+
+
+def shift_of_non_morphism():
+    # f1 = 0 with f0 = id breaks the boundary square; the zero derivation
+    # passes its law and shifts f onto itself.
+    xaff = battery.x_aff(GF3)
+    f = CrossedMorphism(xaff, xaff, LinearMap.zero(GF3, 1, 1),
+                        LinearMap.identity(GF3, 2))
+    homotopy_target(f, LinearMap.zero(GF3, 1, 2))
+
+
+def groupoid_of_invalid_module():
+    # Boundary id: M -> P on lines with P scaling M violates CM1 and CM2.
+    # Over GF(3) the shift of the zero morphism by d = 2 is not equivariant,
+    # so it is not among the enumerated objects.
+    m = LieAlgebra.abelian("m", GF3, 1)
+    p = LieAlgebra.abelian("p", GF3, 1)
+    bad = CrossedModule("bad", m, p, LinearMap.identity(GF3, 1),
+                        LieAction.from_sparse(p, m, [(1, 1, {1: 1})]))
+    build_hom_groupoid(bad, bad)
+
+
+def classes_of_asymmetric_groupoid():
+    # One arrow 0 -> 1 with no way back.
+    xtriv = battery.x_triv(GF3)
+    objects = (identity_morphism(xtriv),
+               CrossedMorphism(xtriv, xtriv, LinearMap.zero(GF3, 1, 1),
+                               LinearMap.zero(GF3, 1, 1)))
+    arrow = Arrow(0, 1, identity_homotopy(objects[0]))
+    homotopy_classes(HomGroupoid(xtriv, xtriv, objects, (arrow,)))
+
+
+BREACHES = (shift_of_non_morphism, groupoid_of_invalid_module,
+            classes_of_asymmetric_groupoid)
+
+EXPECTED = [f"{check.__name__}: InvariantError, report ok=False"
+            for check in BREACHES]
+
+
+def outcomes() -> list[str]:
+    """What each breach raised, one line per breach."""
+    lines = []
+    for check in BREACHES:
+        try:
+            check()
+        except LiecrossError as exc:
+            lines.append(f"{check.__name__}: {type(exc).__name__}, "
+                         f"report ok={exc.report.ok}")
+        else:
+            lines.append(f"{check.__name__}: nothing raised")
+    return lines
+
+
+def test_breaches_raise_invariant_error():
+    assert outcomes() == EXPECTED
+
+
+def test_breaches_raise_under_python_O():
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    script = ("import sys, test_invariants as t; "
+              "print(sys.flags.optimize); print('\\n'.join(t.outcomes()))")
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines() == ["1"] + EXPECTED
