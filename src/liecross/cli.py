@@ -25,6 +25,7 @@ from .errors import (
     FieldMismatchError,
     FiniteFieldRequiredError,
     InvalidDerivationError,
+    InvariantError,
     ShapeMismatchError,
 )
 from .documents import Workspace, parse_workspace
@@ -301,6 +302,13 @@ def run_command(argv: list[str], out=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=out)
         return 3
+    except InvariantError as exc:
+        # An unvalidated input broke an axiom the computation relies on; the
+        # report witnesses it.
+        print(f"error: {exc}", file=out)
+        for line in exc.report.lines():
+            print(line, file=out)
+        return 1
     except (DocumentError, FiniteFieldRequiredError, EndpointMismatchError,
             ShapeMismatchError, FieldMismatchError) as exc:
         print(f"error: {exc}", file=out)

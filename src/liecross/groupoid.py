@@ -2,20 +2,24 @@
 
 Morphism enumeration does not walk the raw product of both matrix spaces.
 Each component space is scanned once for the Lie-morphism property (the scan
-is cached per algebra pair), survivors are joined on the boundary-square
-condition via a bucket key, and only joined pairs get the equivariance
-check.  The output order still matches the odometer over concatenated
-(f1, f0) entries, so results are identical to a full product scan.
+and its survivors' residue rows are cached per algebra pair), survivors are
+joined on the boundary-square condition via a bucket key, and only joined
+pairs get the equivariance check.  The output order still matches the
+odometer over concatenated (f1, f0) entries, so results are identical to a
+full product scan.
 
-All kernel work happens on plain integer residues; exact Scalar objects are
-only materialized for accepted results.
+All kernel and join work happens on plain integer residues.  Both
+enumerations return a LazySequence of the accepted indices: exact Scalar
+objects, and the CrossedMorphism or Derivation around them, are built on
+access.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from operator import mul
+from operator import getitem, mul
 
 from . import _kernels
 from ._kernels import decode
@@ -34,7 +38,11 @@ from .validation import ValidationReport
 
 DEFAULT_BUDGET = 100_000_000
 
-_scan_cache: dict[tuple, tuple[int, ...]] = {}
+# A matrix over GF(p) as a tuple of rows of residues.
+Rows = tuple[tuple[int, ...], ...]
+
+# Lie-morphism scans: (surviving indices, their matrices) per algebra pair.
+_scan_cache: dict[tuple, tuple[tuple[int, ...], tuple[Rows, ...]]] = {}
 _scan_cache_lock = threading.Lock()
 
 
@@ -81,46 +89,121 @@ def _flat_structure(algebra: LieAlgebra) -> tuple[int, ...]:
                  for i in range(n) for j in range(n) for k in range(n))
 
 
-def _digit_matrix(index: int, p: int, rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    d = decode(index, p, rows * cols)
-    return tuple(tuple(d[r * cols:(r + 1) * cols]) for r in range(rows))
+class LazySequence(Sequence):
+    """A read-only sequence whose items are built on first access.
 
-
-def _matrices_from_indices(field: FieldSpec, indices, rows: int,
-                           cols: int) -> list[LinearMap]:
-    """The matrices named by candidate indices, built from shared scalars.
-
-    Row r of a matrix is base-p digit block r of its index.  Survivors repeat
-    rows a lot, so each distinct row is built once and shared.
+    make(k) builds item k; each item is built once and then returned again
+    on every later access.  Length, negative indices, slices (as lists) and
+    iteration behave as on a list of the built items.
     """
-    p = field.p
-    residues = field._residues
+
+    __slots__ = ("_items", "_make")
+
+    def __init__(self, length: int, make: Callable[[int], object]):
+        self._items: list = [None] * length
+        self._make = make
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self._items)))]
+        items = self._items
+        item = items[k]
+        if item is None:
+            item = items[k] = self._make(k % len(items))
+        return item
+
+    def __iter__(self):
+        items, make = self._items, self._make
+        for k, item in enumerate(items):
+            if item is None:
+                item = items[k] = make(k)
+            yield item
+
+
+def _row_decoder(p: int, rows: int, cols: int,
+                 make_row: Callable[[list[int]], tuple]) -> Callable[[int], tuple]:
+    """index -> the rows of the rows x cols matrix it names.
+
+    Row r is base-p digit block r of the index.  make_row turns a block's
+    digits into a row; survivors repeat rows a lot, so each distinct row is
+    made once and shared by every matrix that has it.
+    """
     width = p ** cols
     shifts = [width ** (rows - 1 - r) for r in range(rows)]
-    built: dict[int, tuple] = {}
-    out = []
-    for index in indices:
-        entries = []
+    made: dict[int, tuple] = {}
+
+    def rows_of(index: int) -> tuple:
+        out = []
         for shift in shifts:
             value = index // shift % width
-            row = built.get(value)
+            row = made.get(value)
             if row is None:
-                row = built[value] = tuple([residues[d]
-                                            for d in decode(value, p, cols)])
-            entries.append(row)
-        out.append(LinearMap(field, rows, cols, tuple(entries)))
-    return out
+                row = made[value] = make_row(decode(value, p, cols))
+            out.append(row)
+        return tuple(out)
+    return rows_of
 
 
-def _matmul_mod(a, b, cols: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """a . b mod p, for b with the given column count (b may have no rows)."""
-    b_cols = [[row[c] for row in b] for c in range(cols)]
-    return tuple([tuple([sum(map(mul, row, col)) % p for col in b_cols])
-                  for row in a])
+def _map_builder(field: FieldSpec, rows: int, cols: int) -> Callable[[int], LinearMap]:
+    """index -> the LinearMap it names, built from the field's shared scalars."""
+    residues = field._residues
+    rows_of = _row_decoder(field.p, rows, cols,
+                           lambda digits: tuple([residues[d] for d in digits]))
+    return lambda index: LinearMap(field, rows, cols, rows_of(index))
 
 
-def _lie_morphism_scan(p: int, dom: LieAlgebra, cod: LieAlgebra) -> tuple[int, ...]:
-    """Cached full scan of Lie morphisms dom -> cod over GF(p)."""
+def _transpose(m: Rows, cols: int) -> Rows:
+    """The transpose of a matrix with the given column count (it may have no rows)."""
+    return tuple(zip(*m)) if m else ((),) * cols
+
+
+class _Memo(dict):
+    """key -> fn(key), computed on the first lookup of each key."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self._fn(key)
+        return value
+
+
+def _weights(rows: int, cols: int, p: int) -> list[list[int]]:
+    """weights[r][c] = p ** (number of entries after (r, c) in row-major
+    order): a rows x cols matrix is coded as the sum of its entries times
+    their weights, its index among base-p candidates."""
+    return [[p ** ((rows - 1 - r) * cols + cols - 1 - c) for c in range(cols)]
+            for r in range(rows)]
+
+
+def _shares(vectors: Rows, weights: list[int], p: int) -> _Memo:
+    """v -> sum of (v . w mod p) * weight over the vectors w and their weights,
+    memoized per distinct v."""
+    pairs = list(zip(vectors, weights))
+    return _Memo(lambda v: sum([sum(map(mul, v, w)) % p * k for w, k in pairs]))
+
+
+def _row_shares(b: Rows, b_cols: int, weights: list[list[int]], p: int) -> list[_Memo]:
+    """Memos that code A . B row by row: memo r maps row r of A to row r's
+    share of the code, so the code is sum(map(getitem, memos, A))."""
+    columns = _transpose(b, b_cols)
+    return [_shares(columns, row, p) for row in weights]
+
+
+def _column_shares(a: Rows, weights: list[list[int]], cols: int, p: int) -> list[_Memo]:
+    """Memos that code A . B column by column: memo j maps column j of B to
+    column j's share, so the code is sum(map(getitem, memos, zip(*B)))."""
+    return [_shares(a, [row[j] for row in weights], p) for j in range(cols)]
+
+
+def _lie_morphism_scan(p: int, dom: LieAlgebra,
+                       cod: LieAlgebra) -> tuple[tuple[int, ...], tuple[Rows, ...]]:
+    """Cached full scan of Lie morphisms dom -> cod over GF(p): the surviving
+    indices and, position for position, their matrices as residue rows."""
     dom_br = _flat_structure(dom)
     cod_br = _flat_structure(cod)
     key = (p, dom_br, cod_br, cod.dim, dom.dim)
@@ -130,12 +213,14 @@ def _lie_morphism_scan(p: int, dom: LieAlgebra, cod: LieAlgebra) -> tuple[int, .
         return hit
     found = tuple(_kernels.scan_lie_morphisms(p, dom_br, cod_br, cod.dim, dom.dim,
                                               0, p ** (cod.dim * dom.dim)))
+    rows_of = _row_decoder(p, cod.dim, dom.dim, tuple)
+    entry = (found, tuple([rows_of(index) for index in found]))
     with _scan_cache_lock:
-        _scan_cache[key] = found
-    return found
+        _scan_cache[key] = entry
+    return entry
 
 
-def _action_matrices(action: LieAction) -> list[tuple[tuple[int, ...], ...]]:
+def _action_matrices(action: LieAction) -> list[Rows]:
     """mats[i][r][b] = r-th coordinate of e_i . e_b, as plain residues."""
     t = action.tensor
     m = action.acted.dim
@@ -143,7 +228,7 @@ def _action_matrices(action: LieAction) -> list[tuple[tuple[int, ...], ...]]:
             for i in range(action.actor.dim)]
 
 
-def _acting_matrix(coords, mats, dim: int, p: int) -> tuple[tuple[int, ...], ...]:
+def _acting_matrix(coords, mats, dim: int, p: int) -> Rows:
     """The matrix of v = sum_a coords[a] e_a acting on the dim-dimensional
     module: sum_a coords[a] * mats[a]."""
     acc = [[0] * dim for _ in range(dim)]
@@ -156,18 +241,15 @@ def _acting_matrix(coords, mats, dim: int, p: int) -> tuple[tuple[int, ...], ...
     return tuple(tuple(v % p for v in row) for row in acc)
 
 
-def _columns(m, cols: int) -> list[tuple[int, ...]]:
-    return [tuple(row[i] for row in m) for i in range(cols)]
-
-
 def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
                         budget: int = DEFAULT_BUDGET,
-                        workers: int = 1) -> list[CrossedMorphism]:
+                        workers: int = 1) -> Sequence[CrossedMorphism]:
     """All crossed-module morphisms source -> target over a prime field.
 
     Results are sorted by the base-p odometer over concatenated (f1, f0)
     matrix entries, f1 block most significant; deterministic for fixed
-    inputs.  workers is accepted for compatibility and has no effect: the
+    inputs.  The result is a LazySequence: each morphism is built on first
+    access.  workers is accepted for compatibility and has no effect: the
     scans run in the calling thread.
     """
     if not same_field(source.field, target.field):
@@ -180,57 +262,84 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     _check_budget(p ** (dm2 * dm), budget, "f1 component scan")
     _check_budget(p ** (dp2 * dp), budget, "f0 component scan")
 
-    s1 = _lie_morphism_scan(p, source.m_algebra, target.m_algebra)
-    s0 = _lie_morphism_scan(p, source.p_algebra, target.p_algebra)
-    if not s1 or not s0:
-        return []
+    idx1s, f1s = _lie_morphism_scan(p, source.m_algebra, target.m_algebra)
+    idx0s, f0s = _lie_morphism_scan(p, source.p_algebra, target.p_algebra)
 
-    b_src = source.boundary._residue_rows
-    b_dst = target.boundary._residue_rows
+    # The boundary square boundary' . f1 = f0 . boundary, as a bucket join
+    # on the code of each side: column j of boundary' . f1 depends on column
+    # j of f1 only, row r of f0 . boundary on row r of f0 only, so both codes
+    # are sums of per-distinct-vector shares.  Only the f0 whose code some
+    # f1 has are kept.
+    square = _weights(dp2, dm, p)
+    f1_side = _column_shares(target.boundary._residue_rows, square, dm, p)
+    f0_side = _row_shares(source.boundary._residue_rows, dm, square, p)
+    f1_keys = [sum(map(getitem, f1_side, zip(*f1))) for f1 in f1s]
+    wanted = set(f1_keys)
+    buckets: dict[int, list[int]] = {}
+    for k0, f0 in enumerate(f0s):
+        key = sum(map(getitem, f0_side, f0))
+        if key in wanted:
+            buckets.setdefault(key, []).append(k0)
 
-    act_src = _action_matrices(source.action)
+    # rho'(f0 e_i), the action of column i of f0 on M', only for the f0 in a
+    # bucket.  Each distinct action matrix gets an id, and each distinct
+    # rho' (a tuple of action ids) gets an id of its own.
     act_dst = _action_matrices(target.action)
+    acting_ids: dict[Rows, int] = {}
+    acting = _Memo(lambda col: acting_ids.setdefault(
+        _acting_matrix(col, act_dst, dm2, p), len(acting_ids))).__getitem__
+    rho_ids: dict[tuple[int, ...], int] = {}
+    rho_of = [0] * len(f0s)
+    for bucket in buckets.values():
+        for k0 in bucket:
+            rho_of[k0] = rho_ids.setdefault(
+                tuple(map(acting, _transpose(f0s[k0], dp))), len(rho_ids))
+    rhos = list(rho_ids)
 
-    # Bucket f0 survivors by their side of the square, f0 . boundary, each
-    # with rho'(f0 e_i), the action of its columns on M' (columns repeat).
-    acting: dict[tuple[int, ...], tuple] = {}
-    buckets: dict[tuple, list[tuple[int, tuple]]] = {}
-    for idx0 in s0:
-        f0 = _digit_matrix(idx0, p, dp2, dp)
-        rho = []
-        for col in _columns(f0, dp):
-            if col not in acting:
-                acting[col] = _acting_matrix(col, act_dst, dm2, p)
-            rho.append(acting[col])
-        buckets.setdefault(_matmul_mod(f0, b_src, dm, p), []).append((idx0, tuple(rho)))
-
-    accepted: list[tuple[int, int]] = []
-    for idx1 in s1:
-        f1 = _digit_matrix(idx1, p, dm2, dm)
-        group = buckets.get(_matmul_mod(b_dst, f1, dm, p))
-        if not group:
+    # Equivariance, f1 . rho(e_i) = rho'(f0 e_i) . f1 for every basis vector
+    # e_i of P, compared on codes: the left side row by row of f1, the right
+    # side column by column.  Each (i, action id) verdict is shared by every
+    # f0 of the bucket that needs it.
+    equivariance = _weights(dm2, dm, p)
+    lhs_side = [_row_shares(mat, dm, equivariance, p)
+                for mat in _action_matrices(source.action)]
+    rhs_side = [_column_shares(mat, equivariance, dm, p) for mat in acting_ids]
+    accepted1: list[int] = []
+    accepted0: list[int] = []
+    for idx1, f1, key in zip(idx1s, f1s, f1_keys):
+        bucket = buckets.get(key)
+        if bucket is None:
             continue
-        # Equivariance, f1 . rho(e_i) = rho'(f0 e_i) . f1 for every basis
-        # vector e_i of P, depends on f1 and rho' only; many f0 share rho'.
-        lhs = [_matmul_mod(f1, mat, dm, p) for mat in act_src]
-        verdicts: dict[tuple, bool] = {}
-        for idx0, rho in group:
-            ok = verdicts.get(rho)
-            if ok is None:
-                ok = verdicts[rho] = all(_matmul_mod(r, f1, dm, p) == l
-                                         for r, l in zip(rho, lhs))
-            if ok:
-                accepted.append((idx1, idx0))
+        columns = tuple(zip(*f1))
+        lhs = [sum(map(getitem, shares, f1)) for shares in lhs_side]
+        verdicts: dict[tuple[int, int], bool] = {}
+        ok = set()
+        for rid in {rho_of[k0] for k0 in bucket}:
+            for i, mid in enumerate(rhos[rid]):
+                holds = verdicts.get((i, mid))
+                if holds is None:
+                    holds = verdicts[i, mid] = (
+                        sum(map(getitem, rhs_side[mid], columns)) == lhs[i])
+                if not holds:
+                    break
+            else:
+                ok.add(rid)
+        if ok:
+            passed = [idx0s[k0] for k0 in bucket if rho_of[k0] in ok]
+            accepted1 += [idx1] * len(passed)
+            accepted0 += passed
 
-    f1s = _matrices_from_indices(field, [idx1 for idx1, _ in accepted], dm2, dm)
-    f0s = _matrices_from_indices(field, [idx0 for _, idx0 in accepted], dp2, dp)
-    return [CrossedMorphism(source, target, f1, f0) for f1, f0 in zip(f1s, f0s)]
+    f1_map = _map_builder(field, dm2, dm)
+    f0_map = _map_builder(field, dp2, dp)
+    return LazySequence(len(accepted1), lambda k: CrossedMorphism(
+        source, target, f1_map(accepted1[k]), f0_map(accepted0[k])))
 
 
 def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
-                          workers: int = 1) -> list[Derivation]:
+                          workers: int = 1) -> Sequence[Derivation]:
     """All derivations along f over a prime field, in odometer order.
 
+    The result is a LazySequence: each derivation is built on first access.
     workers is accepted for compatibility and has no effect.
     """
     _require_prime(f.source.field)
@@ -244,13 +353,14 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
     cod_br = _flat_structure(f.target.m_algebra)
     mats = _action_matrices(f.target.action)
     rho = [_acting_matrix(col, mats, rows, p)
-           for col in _columns(f.f0._residue_rows, cols)]
+           for col in _transpose(f.f0._residue_rows, cols)]
     act_flat = tuple(rho[i][r][b]
                      for i in range(cols) for b in range(rows) for r in range(rows))
 
     found = _kernels.scan_derivations(p, dom_br, act_flat, cod_br, rows, cols,
                                       0, p ** (rows * cols))
-    return [Derivation(f, d) for d in _matrices_from_indices(field, found, rows, cols)]
+    d_map = _map_builder(field, rows, cols)
+    return LazySequence(len(found), lambda k: Derivation(f, d_map(found[k])))
 
 
 def build_hom_groupoid(source: CrossedModule, target: CrossedModule,

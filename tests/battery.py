@@ -3,9 +3,11 @@
 Small named algebras, the two standard crossed modules used throughout the
 tests, and a generator battery over GF(5): inclusion modules of every ideal
 of affine2 and of the 3-dimensional Heisenberg algebra, a few zero-boundary
-modules over abelian coefficients, and the trivial module.
+modules over abelian coefficients, and the trivial module.  change_basis
+gives isomorphic copies in seeded random bases.
 """
 
+import random
 from itertools import product
 
 from liecross import (
@@ -138,3 +140,39 @@ def battery_modules(p: int = 5) -> list[CrossedModule]:
     modules.append(abelian_zero_crossed_module(aff, weights, name="aff_on_plane"))
     modules.append(x_triv(field))
     return modules
+
+
+def _random_invertible(field: FieldSpec, dim: int, rng: random.Random) -> LinearMap:
+    while True:
+        change = LinearMap.from_rows(
+            field, [[rng.randrange(field.p) for _ in range(dim)] for _ in range(dim)])
+        if change.rank() == dim:
+            return change
+
+
+def change_basis(xmod: CrossedModule, seed: int) -> CrossedModule:
+    """An isomorphic copy of xmod in seeded random bases A of M and B of P.
+
+    A new structure constant is the old product of new basis vectors read
+    back in the new basis; the boundary becomes B^-1 . boundary . A.
+    """
+    field = xmod.field
+    rng = random.Random(seed)
+    a = _random_invertible(field, xmod.m_algebra.dim, rng)
+    b = _random_invertible(field, xmod.p_algebra.dim, rng)
+    a_cols, b_cols = a.columns(), b.columns()
+
+    def conjugate(algebra, change, cols):
+        return LieAlgebra(algebra.name, field, algebra.dim, tuple(
+            tuple(change.solve(algebra.bracket(u, v)).entries for v in cols)
+            for u in cols))
+
+    m_alg = conjugate(xmod.m_algebra, a, a_cols)
+    p_alg = conjugate(xmod.p_algebra, b, b_cols)
+    action = LieAction(p_alg, m_alg, tuple(
+        tuple(a.solve(xmod.action.act(u, v)).entries for v in a_cols)
+        for u in b_cols))
+    boundary = LinearMap.from_columns(
+        field, [b.solve(xmod.boundary.apply(v)) for v in a_cols],
+        rows=xmod.p_algebra.dim)
+    return CrossedModule(xmod.name, m_alg, p_alg, boundary, action)

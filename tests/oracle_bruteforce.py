@@ -30,9 +30,12 @@ def apply_map(p, mat, rows, cols, v):
     return tuple(sum(mat[r * cols + c] * v[c] for c in range(cols)) % p for r in range(rows))
 
 
-def bilinear(p, table, u, v):
-    """Expand a bilinear table (bracket or action) on coordinate tuples."""
-    n_out = len(table[0][0]) if table and table[0] else 0
+def bilinear(p, table, u, v, n_out):
+    """Expand a bilinear table (bracket or action) on coordinate tuples.
+
+    n_out is the output dimension; it is passed in because an empty table
+    (an action of the zero algebra) cannot tell it.
+    """
     out = [0] * n_out
     for i, ui in enumerate(u):
         if ui == 0:
@@ -75,7 +78,7 @@ def is_morphism(x, y, f1, f0):
             lhs = apply_map(p, f1, y.m_dim, x.m_dim, x.m_br[i][j])
             rhs = bilinear(p, y.m_br,
                            column(f1, y.m_dim, x.m_dim, i),
-                           column(f1, y.m_dim, x.m_dim, j))
+                           column(f1, y.m_dim, x.m_dim, j), y.m_dim)
             if lhs != rhs:
                 return False
     for i in range(x.p_dim):
@@ -83,7 +86,7 @@ def is_morphism(x, y, f1, f0):
             lhs = apply_map(p, f0, y.p_dim, x.p_dim, x.p_br[i][j])
             rhs = bilinear(p, y.p_br,
                            column(f0, y.p_dim, x.p_dim, i),
-                           column(f0, y.p_dim, x.p_dim, j))
+                           column(f0, y.p_dim, x.p_dim, j), y.p_dim)
             if lhs != rhs:
                 return False
     # equivariance: f1(e_i . e_j) = f0(e_i) . f1(e_j)
@@ -92,7 +95,7 @@ def is_morphism(x, y, f1, f0):
             lhs = apply_map(p, f1, y.m_dim, x.m_dim, x.action[i][j])
             rhs = bilinear(p, y.action,
                            column(f0, y.p_dim, x.p_dim, i),
-                           column(f1, y.m_dim, x.m_dim, j))
+                           column(f1, y.m_dim, x.m_dim, j), y.m_dim)
             if lhs != rhs:
                 return False
     # square: boundary' . f1 = f0 . boundary
@@ -116,9 +119,11 @@ def is_derivation(x, y, f0, d):
             dj = column(d, y.m_dim, x.p_dim, j)
             rhs = add(p,
                       sub(p,
-                          bilinear(p, y.action, column(f0, y.p_dim, x.p_dim, i), dj),
-                          bilinear(p, y.action, column(f0, y.p_dim, x.p_dim, j), di)),
-                      bilinear(p, y.m_br, di, dj))
+                          bilinear(p, y.action, column(f0, y.p_dim, x.p_dim, i), dj,
+                                   y.m_dim),
+                          bilinear(p, y.action, column(f0, y.p_dim, x.p_dim, j), di,
+                                   y.m_dim)),
+                      bilinear(p, y.m_br, di, dj, y.m_dim))
             if lhs != rhs:
                 return False
     return True

@@ -86,6 +86,41 @@ algebras:
       - {i: 1, j: 3, out: [{k: 1, c: "1"}]}
 """
 
+# Boundary id: M -> P on lines with P scaling M breaks CM1 and CM2, so the
+# hom-groupoid's homotopy targets are not all morphisms.
+UNVALIDATED_MODULE_DOC = """\
+field: GF(3)
+algebras:
+  m:
+    dim: 1
+    brackets: []
+  p:
+    dim: 1
+    brackets: []
+crossed_modules:
+  bad:
+    m: m
+    p: p
+    boundary: [["1"]]
+    action:
+      - {i: 1, j: 1, out: [{k: 1, c: "1"}]}
+"""
+
+# f1 = 0 with f0 = id breaks the boundary square of X_aff; the zero
+# derivation passes its law and shifts onto the same non-morphism.
+NON_MORPHISM_DOC = X_AFF_DOC.split("morphisms:")[0] + """\
+morphisms:
+  unsquare:
+    source: X_aff
+    target: X_aff
+    f1: [["0"]]
+    f0: [["1", "0"], ["0", "1"]]
+derivations:
+  still:
+    base: unsquare
+    d: [["0", "0"]]
+"""
+
 
 @pytest.fixture
 def ws_path(tmp_path):
@@ -171,6 +206,29 @@ class TestUsageErrors:
                           "--budget", "10"])
         assert code == 3
         assert "budget" in text
+
+    @pytest.mark.parametrize("command", ["groupoid", "classes"])
+    def test_unvalidated_module_exits_one_with_witness(self, tmp_path, command):
+        path = tmp_path / "bad.yaml"
+        path.write_text(UNVALIDATED_MODULE_DOC)
+        code, text = run([command, str(path), "--hom", "bad", "bad"])
+        assert code == 1
+        lines = text.splitlines()
+        assert lines[0] == ("error: a homotopy target at object 0 is missing "
+                            "from the object list")
+        assert "morphism equivariance FAIL equivariance fails at (1, 1): " \
+               "(2) != (1)" in lines[1:]
+
+    def test_target_of_non_morphism_exits_one_with_witness(self, tmp_path):
+        path = tmp_path / "unsquare.yaml"
+        path.write_text(NON_MORPHISM_DOC)
+        code, text = run(["target", str(path), "--from", "unsquare",
+                          "--via", "still"])
+        assert code == 1
+        lines = text.splitlines()
+        assert lines[0] == "error: shifted map is not a crossed-module morphism"
+        assert "morphism square FAIL square fails at (1): (0, 0) != (0, 1)" \
+            in lines[1:]
 
 
 class TestEnumeration:

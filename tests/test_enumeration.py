@@ -1,6 +1,8 @@
 """Exhaustive enumeration over prime fields, cross-checked against the
 independent brute-force oracle."""
 
+from collections.abc import Sequence
+
 import pytest
 
 import battery
@@ -37,6 +39,35 @@ def as_pairs(morphisms):
     return [(flat(m.f1), flat(m.f0)) for m in morphisms]
 
 
+def lines_module(field, m, p):
+    """Abelian M and P of dims m and p, zero action, boundary the identity
+    where both dims are 1 and zero otherwise."""
+    m_alg = LieAlgebra.abelian("m", field, m)
+    p_alg = LieAlgebra.abelian("p", field, p)
+    boundary = (LinearMap.identity(field, 1) if (m, p) == (1, 1)
+                else LinearMap.zero(field, p, m))
+    return CrossedModule(f"lines_{m}_{p}", m_alg, p_alg, boundary,
+                         LieAction.zero(p_alg, m_alg))
+
+
+def oracle_xmod(x):
+    """The oracle's raw tables for a crossed module."""
+    def table(tensor, a, b, n):
+        return tuple(tuple(tuple(tensor[i][j][k].num for k in range(n))
+                           for j in range(b)) for i in range(a))
+    m, p = x.m_algebra.dim, x.p_algebra.dim
+    return oracle.Xmod(x.field.p, m, p,
+                       table(x.m_algebra.structure, m, m, m),
+                       table(x.p_algebra.structure, p, p, p),
+                       table(x.action.tensor, p, m, m), flat(x.boundary))
+
+
+def morphism_space(source, target):
+    """Size of the (f1, f0) product space the oracle walks."""
+    return source.field.p ** (target.m_algebra.dim * source.m_algebra.dim
+                              + target.p_algebra.dim * source.p_algebra.dim)
+
+
 class TestOracleParity:
     def test_x_aff_gf3_morphisms_match_exactly(self):
         ours = as_pairs(enumerate_morphisms(battery.x_aff(GF3),
@@ -68,27 +99,10 @@ class TestOracleParity:
     ])
     def test_zero_dimensional_components_match_oracle(self, m_dims, p_dims,
                                                       expected):
-        # Abelian algebras, zero actions, boundary the identity where both
-        # dimensions are 1 and zero otherwise.
-        def ours(m, p):
-            m_alg = LieAlgebra.abelian("m", GF5, m)
-            p_alg = LieAlgebra.abelian("p", GF5, p)
-            boundary = (LinearMap.identity(GF5, 1) if (m, p) == (1, 1)
-                        else LinearMap.zero(GF5, p, m))
-            return CrossedModule("x", m_alg, p_alg, boundary,
-                                 LieAction.zero(p_alg, m_alg))
-
-        def theirs(m, p):
-            def zeros(a, b, c):
-                return tuple(tuple(tuple([0] * c) for _ in range(b))
-                             for _ in range(a))
-            boundary = (1,) if (m, p) == (1, 1) else (0,) * (p * m)
-            return oracle.Xmod(5, m, p, zeros(m, m, m), zeros(p, p, p),
-                               zeros(p, m, m), boundary)
-
         (m, m2), (p, p2) = m_dims, p_dims
-        assert as_pairs(enumerate_morphisms(ours(m, p), ours(m2, p2))) \
-            == oracle.enumerate_morphisms(theirs(m, p), theirs(m2, p2)) \
+        source, target = lines_module(GF5, m, p), lines_module(GF5, m2, p2)
+        assert as_pairs(enumerate_morphisms(source, target)) \
+            == oracle.enumerate_morphisms(oracle_xmod(source), oracle_xmod(target)) \
             == expected
 
     def test_derivations_match_at_every_object(self):
@@ -107,6 +121,109 @@ class TestOracleParity:
         # a = 1 objects admit 9 derivations; a in {0, 2} admit 3.
         assert set(by_a[1]) == {9}
         assert set(by_a[0]) == set(by_a[2]) == {3}
+
+
+class TestGeneratedJoinParity:
+    """The residue join against the oracle on generated inputs: battery
+    modules in seeded random bases and the zero-dimensional shapes, over
+    GF(2) and GF(3), every source/target pair with a small product space."""
+
+    @pytest.mark.parametrize("p, seed", [(2, 11), (3, 12)])
+    def test_random_bases_match_oracle(self, p, seed):
+        field = FieldSpec.prime(p)
+        shapes = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        pool = battery.battery_modules(p) + [lines_module(field, m, q)
+                                             for m, q in shapes]
+        pool = [battery.change_basis(x, seed * 100 + k) for k, x in enumerate(pool)]
+        pairs = [(a, b) for a in pool for b in pool if morphism_space(a, b) <= 1024]
+        assert len(pairs) > 100
+        for a, b in pairs:
+            assert as_pairs(enumerate_morphisms(a, b)) \
+                == oracle.enumerate_morphisms(oracle_xmod(a), oracle_xmod(b)), \
+                (a.name, b.name)
+
+    def test_bucket_with_several_actions(self):
+        # aff_on_plane has boundary 0, so every pair of Lie morphisms lands in
+        # one bucket, and the f0 there act on the plane in many ways; the
+        # equivariance verdict then splits that bucket.
+        x = battery.change_basis(next(x for x in battery.battery_modules(3)
+                                      if x.name == "aff_on_plane"), 7)
+        ours = as_pairs(enumerate_morphisms(x, x))
+        assert ours == oracle.enumerate_morphisms(oracle_xmod(x), oracle_xmod(x))
+        zero, ident = (0, 0, 0, 0), (1, 0, 0, 1)
+        with_zero = [f0 for f1, f0 in ours if f1 == zero]
+        with_ident = [f0 for f1, f0 in ours if f1 == ident]
+        assert with_ident and len(with_ident) < len(with_zero)
+
+
+class TestLazyResults:
+    """Enumerations return read-only sequences built on access."""
+
+    def test_sequence_protocol_matches_the_eager_list(self):
+        xaff = battery.x_aff(GF3)
+        aff = oracle.x_aff(3)
+        eager = oracle.enumerate_morphisms(aff, aff)
+        found = enumerate_morphisms(xaff, xaff)
+        assert isinstance(found, Sequence)
+        assert len(found) == len(eager) == 15
+        assert as_pairs(found) == eager
+        assert as_pairs([found[-1], found[-15]]) == [eager[-1], eager[-15]]
+        for cut in (slice(2, 9, 3), slice(None, None, -4), slice(-3, None),
+                    slice(20, 30)):
+            assert isinstance(found[cut], list)
+            assert as_pairs(found[cut]) == eager[cut]
+        assert as_pairs(reversed(found)) == eager[::-1]
+        assert found.index(found[7]) == 7 and found[7] in found
+        with pytest.raises(TypeError):
+            found[0] = found[1]
+
+        ders = enumerate_derivations(found[-1])
+        expected = oracle.enumerate_derivations(aff, aff, flat(found[-1].f0))
+        assert [flat(h.d) for h in ders] == expected
+        assert [flat(h.d) for h in ders[1::2]] == expected[1::2]
+        assert flat(ders[-1].d) == expected[-1]
+
+    def test_items_are_built_once(self):
+        xaff = battery.x_aff(GF3)
+        found = enumerate_morphisms(xaff, xaff)
+        first = found[4]
+        assert found[4] is first and found[4 - len(found)] is first
+        assert list(found)[4] is first and found[3:5][1] is first
+        ders = enumerate_derivations(first)
+        assert ders[-1] is ders[len(ders) - 1] is list(ders)[-1]
+
+    @pytest.mark.parametrize("position", [15, -16, 100])
+    def test_out_of_range_raises_index_error(self, position):
+        xaff = battery.x_aff(GF3)
+        found = enumerate_morphisms(xaff, xaff)
+        with pytest.raises(IndexError):
+            found[position]
+        ders = enumerate_derivations(found[0])
+        with pytest.raises(IndexError):
+            ders[position]
+
+    def test_unaccessed_results_build_nothing(self, monkeypatch):
+        built = {"morphisms": 0, "derivations": 0}
+
+        def counting(cls, key):
+            def make(*args):
+                built[key] += 1
+                return cls(*args)
+            return make
+
+        monkeypatch.setattr(groupoid, "CrossedMorphism",
+                            counting(groupoid.CrossedMorphism, "morphisms"))
+        monkeypatch.setattr(groupoid, "Derivation",
+                            counting(groupoid.Derivation, "derivations"))
+        xaff = battery.x_aff(GF3)
+        found = enumerate_morphisms(xaff, xaff)
+        ders = enumerate_derivations(identity_morphism(xaff))
+        assert len(found) == 15 and len(ders) == 9
+        assert built == {"morphisms": 0, "derivations": 0}
+        assert found[-1] is found[-1] and ders[2] is ders[2]
+        assert built == {"morphisms": 1, "derivations": 1}
+        assert list(found) == list(found)
+        assert built == {"morphisms": 15, "derivations": 1}
 
 
 class TestOrderingAndDeterminism:
@@ -214,7 +331,8 @@ class TestKernelBackends:
         for i in range(x.p_dim):
             image = oracle.column(f0, x.p_dim, x.p_dim, i)
             for b in range(n):
-                table.extend(oracle.bilinear(x.p, x.action, image, oracle.basis(n, b)))
+                table.extend(oracle.bilinear(x.p, x.action, image,
+                                             oracle.basis(n, b), n))
         return tuple(table)
 
     @pytest.mark.parametrize("f0", [
