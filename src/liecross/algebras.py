@@ -6,9 +6,9 @@ a[i][j][k] with e_i . e_j = sum_k a[i][j][k] e_k (first index over P, last
 two over M).  A crossed module bundles M, P, a boundary map M -> P and an
 action of P on M.
 
-Over a prime field, bracket and act expand on the integer residues of a
-sparse copy of the tensor and map the result back through the field's shared
-scalars.
+bracket and act have one implementation for every field: they expand on a
+sparse copy of the tensor in the field's lifted numbers (see fields) and
+lower each coordinate back to a Scalar.
 
 Axiom checking lives in the validate_* functions, which return witness
 bearing reports instead of raising.  Constructors only reject malformed
@@ -63,25 +63,25 @@ def _coerce_tensor(field: FieldSpec, tensor, shape: tuple[int, int, int]) -> Ten
     return tuple(out)
 
 
-def _residue_terms(tensor: Tensor) -> tuple[tuple[int, int, int, int], ...]:
-    """The nonzero entries (i, j, k, residue) of a prime-field tensor."""
-    return tuple((i, j, k, c.num)
+def _terms(field: FieldSpec, tensor: Tensor) -> tuple[tuple[int, int, int, object], ...]:
+    """The nonzero entries (i, j, k, lifted coefficient) of a tensor."""
+    lift = field._lift
+    return tuple((i, j, k, lift(c))
                  for i, plane in enumerate(tensor)
                  for j, row in enumerate(plane)
                  for k, c in enumerate(row) if c)
 
 
-def _expand_residues(field: FieldSpec, terms, x: Vector, y: Vector,
-                     dim: int) -> Vector:
-    """Bilinear expansion of x, y through residue terms, as a Vector."""
-    xs = [e.num for e in x.entries]
-    ys = [e.num for e in y.entries]
+def _expand(field: FieldSpec, terms, x: Vector, y: Vector, dim: int) -> Vector:
+    """Bilinear expansion of x, y through the terms of a tensor, as a Vector."""
+    lift = field._lift
+    xs = list(map(lift, x.entries))
+    ys = list(map(lift, y.entries))
     out = [0] * dim
     for i, j, k, c in terms:
         out[k] += xs[i] * ys[j] * c
-    p = field.p
-    residues = field._residues
-    return Vector(field, tuple([residues[v % p] for v in out]))
+    lower = field._lower
+    return Vector(field, tuple([lower(v) for v in out]))
 
 
 def _zero_tensor(field: FieldSpec, shape: tuple[int, int, int]) -> Tensor:
@@ -137,8 +137,7 @@ class LieAlgebra:
         object.__setattr__(self, "structure", _coerce_tensor(
             self.field, self.structure, (self.dim, self.dim, self.dim)))
         # Not a dataclass field, so equality and hashing ignore it.
-        object.__setattr__(self, "_terms", _residue_terms(self.structure)
-                           if self.field.is_prime_field else None)
+        object.__setattr__(self, "_terms", _terms(self.field, self.structure))
 
     @classmethod
     def abelian(cls, name: str, field: FieldSpec, dim: int) -> "LieAlgebra":
@@ -177,20 +176,7 @@ class LieAlgebra:
         """[x, y] by bilinear expansion through the structure tensor."""
         self._check_member(x)
         self._check_member(y)
-        if self._terms is not None:
-            return _expand_residues(self.field, self._terms, x, y, self.dim)
-        out = [self.field.zero()] * self.dim
-        for i, xi in enumerate(x.entries):
-            if not xi:
-                continue
-            for j, yj in enumerate(y.entries):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                for k, c in enumerate(self.structure[i][j]):
-                    if c:
-                        out[k] = out[k] + coeff * c
-        return Vector(self.field, tuple(out))
+        return _expand(self.field, self._terms, x, y, self.dim)
 
     def _check_member(self, v: Vector):
         if not same_field(v.field, self.field):
@@ -221,8 +207,7 @@ class LieAction:
         object.__setattr__(self, "tensor", _coerce_tensor(
             self.actor.field, self.tensor,
             (self.actor.dim, self.acted.dim, self.acted.dim)))
-        object.__setattr__(self, "_terms", _residue_terms(self.tensor)
-                           if self.actor.field.is_prime_field else None)
+        object.__setattr__(self, "_terms", _terms(self.field, self.tensor))
 
     @property
     def field(self) -> FieldSpec:
@@ -255,20 +240,7 @@ class LieAction:
         """p . m by bilinear expansion through the action tensor."""
         self.actor._check_member(p)
         self.acted._check_member(m)
-        if self._terms is not None:
-            return _expand_residues(self.field, self._terms, p, m, self.acted.dim)
-        out = [self.field.zero()] * self.acted.dim
-        for i, pi in enumerate(p.entries):
-            if not pi:
-                continue
-            for j, mj in enumerate(m.entries):
-                if not mj:
-                    continue
-                coeff = pi * mj
-                for k, a in enumerate(self.tensor[i][j]):
-                    if a:
-                        out[k] = out[k] + coeff * a
-        return Vector(self.field, tuple(out))
+        return _expand(self.field, self._terms, p, m, self.acted.dim)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
     InvariantError,
     ShapeMismatchError,
 )
-from .documents import Workspace, parse_workspace
+from .documents import Workspace, _matrix_doc, parse_workspace
 from .groupoid import (
     DEFAULT_BUDGET,
     HomGroupoid,
@@ -38,17 +38,8 @@ from .groupoid import (
     homotopy_classes,
 )
 from .homotopy import connects, homotopy_target, is_f0_derivation, shift_morphism
-from .linalg import LinearMap
 from .morphisms import CrossedMorphism, validate_crossed_morphism
 from .validation import ValidationReport
-
-
-def _matrix_json(m: LinearMap) -> list[list[str]]:
-    return [[str(e) for e in row] for row in m.entries]
-
-
-def _matrix_text(m: LinearMap) -> str:
-    return str(m)
 
 
 def _sizes_text(classes: list[list[int]]) -> str:
@@ -111,11 +102,11 @@ def _cmd_enumerate_morphisms(ws: Workspace, args, out) -> int:
     found = enumerate_morphisms(source, target,
                                 budget=args.budget, workers=args.workers)
     lines = [f"morphisms={len(found)}"]
-    lines += [f"morphism {i}: f1={_matrix_text(f.f1)} f0={_matrix_text(f.f0)}"
+    lines += [f"morphism {i}: f1={f.f1} f0={f.f0}"
               for i, f in enumerate(found)]
     _emit(args, out, lines,
           {"command": "enumerate-morphisms", "count": len(found),
-           "morphisms": [{"f1": _matrix_json(f.f1), "f0": _matrix_json(f.f0)}
+           "morphisms": [{"f1": _matrix_doc(f.f1), "f0": _matrix_doc(f.f0)}
                          for f in found]})
     return 0
 
@@ -124,21 +115,21 @@ def _cmd_enumerate_derivations(ws: Workspace, args, out) -> int:
     base = ws.require_morphism(args.base)
     found = enumerate_derivations(base, budget=args.budget, workers=args.workers)
     lines = [f"derivations={len(found)}"]
-    lines += [f"derivation {i}: d={_matrix_text(h.d)}"
+    lines += [f"derivation {i}: d={h.d}"
               for i, h in enumerate(found)]
     _emit(args, out, lines,
           {"command": "enumerate-derivations", "base": args.base,
            "count": len(found),
-           "derivations": [{"d": _matrix_json(h.d)} for h in found]})
+           "derivations": [{"d": _matrix_doc(h.d)} for h in found]})
     return 0
 
 
 def _groupoid_json(groupoid: HomGroupoid, classes: list[list[int]]) -> dict:
     return {
-        "objects": [{"f1": _matrix_json(f.f1), "f0": _matrix_json(f.f0)}
+        "objects": [{"f1": _matrix_doc(f.f1), "f0": _matrix_doc(f.f0)}
                     for f in groupoid.objects],
         "arrows": [{"src": a.src, "dst": a.dst,
-                    "d": _matrix_json(a.derivation.d)}
+                    "d": _matrix_doc(a.derivation.d)}
                    for a in groupoid.arrows],
         "classes": classes,
     }
@@ -152,9 +143,9 @@ def _cmd_groupoid(ws: Workspace, args, out) -> int:
     classes = homotopy_classes(groupoid)
     lines = [f"objects={len(groupoid.objects)} arrows={len(groupoid.arrows)} "
              f"classes={len(classes)} sizes={_sizes_text(classes)}"]
-    lines += [f"object {i}: f1={_matrix_text(f.f1)} f0={_matrix_text(f.f0)}"
+    lines += [f"object {i}: f1={f.f1} f0={f.f0}"
               for i, f in enumerate(groupoid.objects)]
-    lines += [f"arrow {t}: {a.src} -> {a.dst} d={_matrix_text(a.derivation.d)}"
+    lines += [f"arrow {t}: {a.src} -> {a.dst} d={a.derivation.d}"
               for t, a in enumerate(groupoid.arrows)]
     data = _groupoid_json(groupoid, classes)
     if args.emit:
@@ -217,11 +208,11 @@ def _cmd_target(ws: Workspace, args, out) -> int:
                "ok": False, "law": _report_json(report)})
         return 1
     lines = [f"{args.via} derivation_law PASS",
-             f"target: f1={_matrix_text(g.f1)} f0={_matrix_text(g.f0)}"]
+             f"target: f1={g.f1} f0={g.f0}"]
     _emit(args, out, lines,
           {"command": "target", "from": args.from_, "via": args.via,
            "ok": True,
-           "target": {"f1": _matrix_json(g.f1), "f0": _matrix_json(g.f0)}})
+           "target": {"f1": _matrix_doc(g.f1), "f0": _matrix_doc(g.f0)}})
     return 0
 
 

@@ -9,9 +9,23 @@ anything built from them) can be deduplicated with dicts and sets.
 Prime-field scalars are shared instances: FieldSpec.prime(p) returns one
 field object per p, and each prime field keeps one Scalar per residue (for
 the first 2^16 residues used), which its arithmetic, coercions, zero() and
-one() hand out instead of building new objects.  Field checks therefore test identity first and fall back to
-structural equality, so a FieldSpec built directly still works (with its own
-residue table) and still mixes with the shared one.
+one() hand out instead of building new objects.  Field checks therefore test
+identity first and fall back to structural equality, so a FieldSpec built
+directly still works (with its own residue table) and still mixes with the
+shared one.
+
+This module alone knows how a field stores its values.  Bulk arithmetic
+elsewhere (matrix products, bracket and action expansions) goes through two
+private conversions of each FieldSpec:
+
+* field._lift(s) turns a Scalar into the plain number Python computes on:
+  its residue int over GF(p), a Fraction over QQ;
+* field._lower(v) turns a sum of products of lifted numbers (an int or a
+  Fraction) back into a Scalar: the shared scalar of v mod p over GF(p), a
+  new Scalar in lowest terms over QQ.
+
+Lifted numbers of one field are equal exactly when their scalars are, so
+tuples of them can key dicts.
 
 Serialization: rationals render as "a/b", with "/b" omitted when b = 1;
 prime-field elements render as their decimal residue.
@@ -21,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from fractions import Fraction
 from math import gcd
 
@@ -68,9 +83,18 @@ class FieldSpec:
                 raise ValueError(f"prime field needs a prime modulus, got {self.p}")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
-        # Not a dataclass field, so equality, hashing and repr ignore it.
-        object.__setattr__(self, "_residues",
-                           _Residues(self) if self.kind == PRIME else None)
+        # Not dataclass fields, so equality, hashing and repr ignore them.
+        if self.kind == PRIME:
+            residues, p = _Residues(self), self.p
+            lift = attrgetter("num")
+            lower = lambda v: residues[v % p]
+        else:
+            residues = None
+            lift = Scalar.as_fraction
+            lower = lambda v: Scalar(self, v.numerator, v.denominator)
+        object.__setattr__(self, "_residues", residues)
+        object.__setattr__(self, "_lift", lift)
+        object.__setattr__(self, "_lower", lower)
 
     def __reduce__(self):
         return _shared_field, (self.kind, self.p)

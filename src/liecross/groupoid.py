@@ -16,9 +16,9 @@ access.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import getitem, mul
 
 from . import _kernels
@@ -40,10 +40,6 @@ DEFAULT_BUDGET = 100_000_000
 
 # A matrix over GF(p) as a tuple of rows of residues.
 Rows = tuple[tuple[int, ...], ...]
-
-# Lie-morphism scans: (surviving indices, their matrices) per algebra pair.
-_scan_cache: dict[tuple, tuple[tuple[int, ...], tuple[Rows, ...]]] = {}
-_scan_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -83,10 +79,8 @@ def _check_budget(space: int, budget: int, what: str):
 
 
 def _flat_structure(algebra: LieAlgebra) -> tuple[int, ...]:
-    n = algebra.dim
-    c = algebra.structure
-    return tuple(c[i][j][k].num
-                 for i in range(n) for j in range(n) for k in range(n))
+    lift = algebra.field._lift
+    return tuple(lift(c) for plane in algebra.structure for row in plane for c in row)
 
 
 class LazySequence(Sequence):
@@ -148,10 +142,10 @@ def _row_decoder(p: int, rows: int, cols: int,
 
 
 def _map_builder(field: FieldSpec, rows: int, cols: int) -> Callable[[int], LinearMap]:
-    """index -> the LinearMap it names, built from the field's shared scalars."""
-    residues = field._residues
+    """index -> the LinearMap it names, its digits lowered to the field's scalars."""
+    lower = field._lower
     rows_of = _row_decoder(field.p, rows, cols,
-                           lambda digits: tuple([residues[d] for d in digits]))
+                           lambda digits: tuple(map(lower, digits)))
     return lambda index: LinearMap(field, rows, cols, rows_of(index))
 
 
@@ -200,31 +194,27 @@ def _column_shares(a: Rows, weights: list[list[int]], cols: int, p: int) -> list
     return [_shares(a, [row[j] for row in weights], p) for j in range(cols)]
 
 
-def _lie_morphism_scan(p: int, dom: LieAlgebra,
+@lru_cache(maxsize=64)
+def _lie_morphism_scan(dom: LieAlgebra,
                        cod: LieAlgebra) -> tuple[tuple[int, ...], tuple[Rows, ...]]:
-    """Cached full scan of Lie morphisms dom -> cod over GF(p): the surviving
-    indices and, position for position, their matrices as residue rows."""
-    dom_br = _flat_structure(dom)
-    cod_br = _flat_structure(cod)
-    key = (p, dom_br, cod_br, cod.dim, dom.dim)
-    with _scan_cache_lock:
-        hit = _scan_cache.get(key)
-    if hit is not None:
-        return hit
-    found = tuple(_kernels.scan_lie_morphisms(p, dom_br, cod_br, cod.dim, dom.dim,
-                                              0, p ** (cod.dim * dom.dim)))
+    """Cached full scan of Lie morphisms dom -> cod over their prime field:
+    the surviving indices and, position for position, their matrices as
+    residue rows.  Algebra equality covers the field, the dimension and the
+    tensor, so equal pairs share one entry."""
+    p = dom.field.p
+    found = tuple(_kernels.scan_lie_morphisms(
+        p, _flat_structure(dom), _flat_structure(cod), cod.dim, dom.dim,
+        0, p ** (cod.dim * dom.dim)))
     rows_of = _row_decoder(p, cod.dim, dom.dim, tuple)
-    entry = (found, tuple([rows_of(index) for index in found]))
-    with _scan_cache_lock:
-        _scan_cache[key] = entry
-    return entry
+    return found, tuple([rows_of(index) for index in found])
 
 
 def _action_matrices(action: LieAction) -> list[Rows]:
     """mats[i][r][b] = r-th coordinate of e_i . e_b, as plain residues."""
     t = action.tensor
     m = action.acted.dim
-    return [tuple(tuple(t[i][b][r].num for b in range(m)) for r in range(m))
+    lift = action.field._lift
+    return [tuple(tuple(lift(t[i][b][r]) for b in range(m)) for r in range(m))
             for i in range(action.actor.dim)]
 
 
@@ -262,8 +252,8 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     _check_budget(p ** (dm2 * dm), budget, "f1 component scan")
     _check_budget(p ** (dp2 * dp), budget, "f0 component scan")
 
-    idx1s, f1s = _lie_morphism_scan(p, source.m_algebra, target.m_algebra)
-    idx0s, f0s = _lie_morphism_scan(p, source.p_algebra, target.p_algebra)
+    idx1s, f1s = _lie_morphism_scan(source.m_algebra, target.m_algebra)
+    idx0s, f0s = _lie_morphism_scan(source.p_algebra, target.p_algebra)
 
     # The boundary square boundary' . f1 = f0 . boundary, as a bucket join
     # on the code of each side: column j of boundary' . f1 depends on column
@@ -271,8 +261,8 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     # are sums of per-distinct-vector shares.  Only the f0 whose code some
     # f1 has are kept.
     square = _weights(dp2, dm, p)
-    f1_side = _column_shares(target.boundary._residue_rows, square, dm, p)
-    f0_side = _row_shares(source.boundary._residue_rows, dm, square, p)
+    f1_side = _column_shares(target.boundary._raw_rows, square, dm, p)
+    f0_side = _row_shares(source.boundary._raw_rows, dm, square, p)
     f1_keys = [sum(map(getitem, f1_side, zip(*f1))) for f1 in f1s]
     wanted = set(f1_keys)
     buckets: dict[int, list[int]] = {}
@@ -353,7 +343,7 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
     cod_br = _flat_structure(f.target.m_algebra)
     mats = _action_matrices(f.target.action)
     rho = [_acting_matrix(col, mats, rows, p)
-           for col in _transpose(f.f0._residue_rows, cols)]
+           for col in _transpose(f.f0._raw_rows, cols)]
     act_flat = tuple(rho[i][r][b]
                      for i in range(cols) for b in range(rows) for r in range(rows))
 
@@ -374,13 +364,13 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
     has no effect.
     """
     objects = enumerate_morphisms(source, target, budget=budget)
-    position = {(f.f1._residue_rows, f.f0._residue_rows): i
+    position = {(f.f1._raw_rows, f.f0._raw_rows): i
                 for i, f in enumerate(objects)}
     arrows = []
     for i, f in enumerate(objects):
         for der in enumerate_derivations(f, budget=budget):
             g = shift_morphism(f, der.d)
-            j = position.get((g.f1._residue_rows, g.f0._residue_rows))
+            j = position.get((g.f1._raw_rows, g.f0._raw_rows))
             if j is None:
                 raise InvariantError(
                     f"a homotopy target at object {i} is missing from the "
@@ -412,11 +402,11 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
             report.fail("endpoints", (t + 1,),
                         "arrow target", f"objects[{a.dst}]")
 
-    by_key = {(a.src, a.derivation.d._residue_rows): t
+    by_key = {(a.src, a.derivation.d._raw_rows): t
               for t, a in enumerate(arrows)}
 
     def zero_key(i: int):
-        return (i, identity_homotopy(objects[i]).d._residue_rows)
+        return (i, identity_homotopy(objects[i]).d._raw_rows)
 
     # Identity arrows exist and are two-sided units.
     for i in range(len(objects)):
@@ -432,7 +422,7 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
     # Inverses: -d anchored at the target, composing to identities both ways.
     zero_maps = {i: identity_homotopy(objects[i]).d for i in range(len(objects))}
     for t, a in enumerate(arrows):
-        inv_key = (a.dst, (-a.derivation.d)._residue_rows)
+        inv_key = (a.dst, (-a.derivation.d)._raw_rows)
         if inv_key not in by_key:
             report.fail("inverse", (t + 1,), "no inverse arrow", "-d at target")
             continue

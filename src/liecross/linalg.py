@@ -2,9 +2,9 @@
 
 A LinearMap is stored as a dense rows x cols matrix of Scalars; column j is
 the image of the j-th domain basis vector.  Everything is immutable, so maps
-and vectors can key dicts and be shared across threads.  Over a prime field,
-apply and compose compute on the integer residues and map the result back
-through the field's shared scalars.
+and vectors can key dicts and be shared across threads.  apply and compose
+have one implementation for every field: they multiply the field's lifted
+numbers (see fields) and lower each sum back to a Scalar.
 """
 
 from __future__ import annotations
@@ -138,9 +138,13 @@ class LinearMap:
                                             for _ in range(rows)))
 
     @cached_property
-    def _residue_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The entries as plain residues (prime fields), built on first use."""
-        return tuple(tuple([e.num for e in row]) for row in self.entries)
+    def _raw_rows(self) -> tuple[tuple, ...]:
+        """The entries as the field's lifted numbers, built on first use.
+
+        Equal maps over one field have equal raw rows, so they can key dicts.
+        """
+        lift = self.field._lift
+        return tuple(tuple(map(lift, row)) for row in self.entries)
 
     def column(self, j: int) -> Vector:
         return Vector(self.field, tuple(row[j] for row in self.entries))
@@ -155,21 +159,11 @@ class LinearMap:
         if v.dim != self.cols:
             raise ShapeMismatchError(
                 f"map with {self.cols} columns applied to a {v.dim}-vector")
-        residues = self.field._residues
-        if residues is not None:
-            p = self.field.p
-            xs = [x.num for x in v.entries]
-            return Vector(self.field, tuple(
-                [residues[sum(map(mul, row, xs)) % p] for row in self._residue_rows]))
-        zero = self.field.zero()
-        out = []
-        for row in self.entries:
-            acc = zero
-            for a, x in zip(row, v.entries):
-                if x:
-                    acc = acc + a * x
-            out.append(acc)
-        return Vector(self.field, tuple(out))
+        field = self.field
+        lower = field._lower
+        xs = list(map(field._lift, v.entries))
+        return Vector(field, tuple(
+            [lower(sum(map(mul, row, xs))) for row in self._raw_rows]))
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other: compose(f, g)(v) = f(g(v))."""
@@ -179,27 +173,12 @@ class LinearMap:
             raise ShapeMismatchError(
                 f"cannot compose {self.rows}x{self.cols} after "
                 f"{other.rows}x{other.cols}")
-        residues = self.field._residues
-        if residues is not None:
-            p = self.field.p
-            cols = [[row[c] for row in other._residue_rows] for c in range(other.cols)]
-            return LinearMap(self.field, self.rows, other.cols, tuple(
-                tuple([residues[sum(map(mul, row, col)) % p] for col in cols])
-                for row in self._residue_rows))
-        zero = self.field.zero()
-        entries = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[r][k]
-                    b = other.entries[k][c]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            entries.append(tuple(row))
-        return LinearMap(self.field, self.rows, other.cols, tuple(entries))
+        lower = self.field._lower
+        rhs = other._raw_rows
+        cols = [[row[c] for row in rhs] for c in range(other.cols)]
+        return LinearMap(self.field, self.rows, other.cols, tuple(
+            tuple([lower(sum(map(mul, row, col))) for col in cols])
+            for row in self._raw_rows))
 
     def __add__(self, other):
         if not isinstance(other, LinearMap):

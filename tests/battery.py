@@ -4,11 +4,17 @@ Small named algebras, the two standard crossed modules used throughout the
 tests, and a generator battery over GF(5): inclusion modules of every ideal
 of affine2 and of the 3-dimensional Heisenberg algebra, a few zero-boundary
 modules over abelian coefficients, and the trivial module.  change_basis
-gives isomorphic copies in seeded random bases.
+gives isomorphic copies in seeded random bases.  raw_values, reduced and
+numbers serve the parity tests, whose reference never touches Scalar:
+Fractions over QQ (non-unit denominators included), plain ints reduced mod
+p over GF(p).
 """
 
 import random
+from fractions import Fraction
 from itertools import product
+
+from hypothesis import strategies as st
 
 from liecross import (
     CrossedModule,
@@ -176,3 +182,27 @@ def change_basis(xmod: CrossedModule, seed: int) -> CrossedModule:
         field, [b.solve(xmod.boundary.apply(v)) for v in a_cols],
         rows=xmod.p_algebra.dim)
     return CrossedModule(xmod.name, m_alg, p_alg, boundary, action)
+
+
+PARITY_FIELDS = [FieldSpec.rational(), FieldSpec.prime(2), FieldSpec.prime(5)]
+
+
+def raw_values(field: FieldSpec, n: int):
+    """Strategy for n raw entries: Fractions over QQ, any ints over GF(p)."""
+    if field.is_prime_field:
+        value = st.integers(min_value=-2 * field.p, max_value=2 * field.p)
+    else:
+        value = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return st.lists(value, min_size=n, max_size=n)
+
+
+def reduced(field: FieldSpec, values) -> list:
+    """Reference results as the field's numbers: mod p over GF(p)."""
+    return [v % field.p for v in values] if field.is_prime_field else list(values)
+
+
+def numbers(field: FieldSpec, scalars) -> list:
+    """Scalars as the numbers reduced() gives."""
+    if field.is_prime_field:
+        return [s.num for s in scalars]
+    return [s.as_fraction() for s in scalars]

@@ -1,8 +1,10 @@
 """Lie algebras, actions, crossed modules, and their axiom validators."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 import battery
+from battery import PARITY_FIELDS, numbers, raw_values, reduced
 from liecross import (
     CrossedModule,
     FieldSpec,
@@ -100,6 +102,44 @@ class TestBracket:
             aff.bracket(Vector.make(QQ, [1]), aff.basis(0))
         with pytest.raises(Exception):
             aff.bracket(Vector.make(GF3, [1, 0]), aff.basis(0))
+
+
+def raw_tensor(data, field, d0, d1, d2):
+    return [[data.draw(raw_values(field, d2)) for _ in range(d1)] for _ in range(d0)]
+
+
+def expand(tensor, x, y, d2):
+    """sum over i, j of x[i] y[j] tensor[i][j], by nested loops."""
+    return [sum(x[i] * y[j] * tensor[i][j][k]
+                for i in range(len(x)) for j in range(len(y)))
+            for k in range(d2)]
+
+
+class TestSingleArithmeticPath:
+    # Tensors need not satisfy the Lie axioms: bracket and act are plain
+    # bilinear expansions, compared with the loop reference above.
+    dims = st.integers(min_value=0, max_value=3)
+
+    @given(st.data())
+    def test_bracket_matches_reference(self, data):
+        field = data.draw(st.sampled_from(PARITY_FIELDS))
+        n = data.draw(self.dims)
+        c = raw_tensor(data, field, n, n, n)
+        x, y = data.draw(raw_values(field, n)), data.draw(raw_values(field, n))
+        algebra = LieAlgebra("random", field, n, c)
+        got = algebra.bracket(Vector.make(field, x), Vector.make(field, y))
+        assert numbers(field, got.entries) == reduced(field, expand(c, x, y, n))
+
+    @given(st.data())
+    def test_act_matches_reference(self, data):
+        field = data.draw(st.sampled_from(PARITY_FIELDS))
+        dp, dm = data.draw(self.dims), data.draw(self.dims)
+        a = raw_tensor(data, field, dp, dm, dm)
+        p, m = data.draw(raw_values(field, dp)), data.draw(raw_values(field, dm))
+        action = LieAction(LieAlgebra.abelian("P", field, dp),
+                           LieAlgebra.abelian("M", field, dm), a)
+        got = action.act(Vector.make(field, p), Vector.make(field, m))
+        assert numbers(field, got.entries) == reduced(field, expand(a, p, m, dm))
 
 
 class TestValidateLieAlgebra:

@@ -303,7 +303,7 @@ class TestKernelBackends:
 
         for name in ("scan_lie_morphisms", "scan_derivations"):
             monkeypatch.setattr(_kernels, name, recording(name))
-        monkeypatch.setattr(groupoid, "_scan_cache", {})
+        groupoid._lie_morphism_scan.cache_clear()
         p = 3
         xaff = battery.x_aff(GF3)
         objects = enumerate_morphisms(xaff, xaff)

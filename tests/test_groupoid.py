@@ -4,16 +4,25 @@ import pytest
 
 import battery
 import oracle_bruteforce as oracle
+from fractions import Fraction
+
 from liecross import (
     Arrow,
+    Derivation,
     FieldSpec,
     HomGroupoid,
+    LieAction,
+    LieAlgebra,
+    LinearMap,
+    abelian_zero_crossed_module,
     build_hom_groupoid,
     homotopy_classes,
     identity_morphism,
     inclusion_crossed_module,
     validate_groupoid,
 )
+
+QQ = FieldSpec.rational()
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
@@ -102,6 +111,19 @@ class TestValidation:
                              triv_groupoid.objects, arrows)
         report = validate_groupoid(pruned)
         assert report.failures_for("identity")
+
+    def test_rational_arrows_keyed_by_value(self):
+        # Over QQ, 1/2 and -1/3 share their numerators with -1/2 and 1/3;
+        # neither inverse is an arrow, so both loops must fail.
+        line = LieAlgebra.abelian("line", QQ, 1)
+        xmod = abelian_zero_crossed_module(line, LieAction.zero(line, line))
+        ident = identity_morphism(xmod)
+        loops = tuple(Arrow(0, 0, Derivation(ident, LinearMap.from_rows(QQ, [[d]])))
+                      for d in (0, Fraction(1, 2), Fraction(-1, 3)))
+        report = validate_groupoid(HomGroupoid(xmod, xmod, (ident,), loops))
+        assert [f.indices for f in report.failures_for("inverse")] == [(2,), (3,)]
+        assert not report.failures_for("identity")
+        assert not report.failures_for("endpoints")
 
     def test_missing_inverse_detected(self, triv_groupoid):
         # Dropping one non-identity arrow leaves its partner inverse-less.

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from battery import PARITY_FIELDS, numbers, raw_values, reduced
 from liecross import FieldSpec, LinearMap, Vector
 from liecross.errors import FieldMismatchError, ShapeMismatchError
 
@@ -10,6 +11,16 @@ QQ = FieldSpec.rational()
 GF3 = FieldSpec.prime(3)
 
 residue = st.integers(min_value=0, max_value=2)
+dims = st.integers(min_value=0, max_value=3)
+
+
+def raw_matrix(data, field, rows, cols):
+    return [data.draw(raw_values(field, cols)) for _ in range(rows)]
+
+
+def make_map(field, raw, rows, cols):
+    return LinearMap(field, rows, cols,
+                     tuple(tuple(field.scalar(v) for v in row) for row in raw))
 
 
 def vec3(values):
@@ -73,6 +84,28 @@ class TestLinearMap:
         assert f.compose(g).apply(v) == f.apply(g.apply(v))
         with pytest.raises(ShapeMismatchError):
             f.compose(LinearMap.zero(GF3, 3, 3))
+
+    @given(st.data())
+    def test_apply_matches_reference(self, data):
+        field = data.draw(st.sampled_from(PARITY_FIELDS))
+        rows, cols = data.draw(dims), data.draw(dims)
+        a = raw_matrix(data, field, rows, cols)
+        x = data.draw(raw_values(field, cols))
+        got = make_map(field, a, rows, cols).apply(Vector.make(field, x))
+        want = [sum(a[r][k] * x[k] for k in range(cols)) for r in range(rows)]
+        assert numbers(field, got.entries) == reduced(field, want)
+
+    @given(st.data())
+    def test_compose_matches_reference(self, data):
+        field = data.draw(st.sampled_from(PARITY_FIELDS))
+        rows, inner, cols = data.draw(dims), data.draw(dims), data.draw(dims)
+        a = raw_matrix(data, field, rows, inner)
+        b = raw_matrix(data, field, inner, cols)
+        got = make_map(field, a, rows, inner).compose(make_map(field, b, inner, cols))
+        assert (got.rows, got.cols) == (rows, cols)
+        for r in range(rows):
+            want = [sum(a[r][k] * b[k][c] for k in range(inner)) for c in range(cols)]
+            assert numbers(field, got.entries[r]) == reduced(field, want)
 
     def test_additive_ops(self):
         f = LinearMap.from_rows(GF3, [[1, 1], [0, 1]])
