@@ -31,13 +31,12 @@ from .errors import (
 from .documents import Workspace, _matrix_doc, parse_workspace
 from .groupoid import (
     DEFAULT_BUDGET,
-    HomGroupoid,
     build_hom_groupoid,
     enumerate_derivations,
     enumerate_morphisms,
     homotopy_classes,
 )
-from .homotopy import connects, homotopy_target, is_f0_derivation, shift_morphism
+from .homotopy import homotopy_target, is_f0_derivation, shift_morphism
 from .morphisms import CrossedMorphism, validate_crossed_morphism
 from .validation import ValidationReport
 
@@ -124,34 +123,33 @@ def _cmd_enumerate_derivations(ws: Workspace, args, out) -> int:
     return 0
 
 
-def _groupoid_json(groupoid: HomGroupoid, classes: list[list[int]]) -> dict:
-    return {
-        "objects": [{"f1": _matrix_doc(f.f1), "f0": _matrix_doc(f.f0)}
-                    for f in groupoid.objects],
-        "arrows": [{"src": a.src, "dst": a.dst,
-                    "d": _matrix_doc(a.derivation.d)}
-                   for a in groupoid.arrows],
-        "classes": classes,
-    }
-
-
 def _cmd_groupoid(ws: Workspace, args, out) -> int:
     source = ws.require_module(args.hom[0])
     target = ws.require_module(args.hom[1])
     groupoid = build_hom_groupoid(source, target,
                                   budget=args.budget, workers=args.workers)
     classes = homotopy_classes(groupoid)
+    if args.format == "structured" or args.emit:  # both print one encoding
+        document = json.dumps({
+            "objects": [{"f1": _matrix_doc(f.f1), "f0": _matrix_doc(f.f0)}
+                        for f in groupoid.objects],
+            "arrows": [{"src": a.src, "dst": a.dst, "d": _matrix_doc(a.derivation.d)}
+                       for a in groupoid.arrows],
+            "classes": classes}, indent=2)
+        if args.emit:
+            Path(args.emit).write_text(document + "\n")
+        if args.format == "structured":
+            print(document, file=out)
+            return 0
     lines = [f"objects={len(groupoid.objects)} arrows={len(groupoid.arrows)} "
              f"classes={len(classes)} sizes={_sizes_text(classes)}"]
     lines += [f"object {i}: f1={f.f1} f0={f.f0}"
               for i, f in enumerate(groupoid.objects)]
     lines += [f"arrow {t}: {a.src} -> {a.dst} d={a.derivation.d}"
               for t, a in enumerate(groupoid.arrows)]
-    data = _groupoid_json(groupoid, classes)
     if args.emit:
-        Path(args.emit).write_text(json.dumps(data, indent=2) + "\n")
         lines.append(f"emitted {args.emit}")
-    _emit(args, out, lines, data)
+    print("\n".join(lines), file=out)
     return 0
 
 
@@ -177,8 +175,9 @@ def _cmd_check_homotopy(ws: Workspace, args, out) -> int:
     shifted = shift_morphism(f, cert.d)
     equations_ok = shifted.f0 == g.f0 and shifted.f1 == g.f1
     law = is_f0_derivation(cert.d, f)
-    # Endpoint agreement is a usage precondition, checked before reporting.
-    ok = connects(cert.d, f, g)
+    if f.source != g.source or f.target != g.target:  # a usage error
+        raise EndpointMismatchError("morphisms do not share endpoints")
+    ok = equations_ok and law.ok
     lines = []
     if equations_ok:
         lines.append(f"{args.via} homotopy_equations PASS")

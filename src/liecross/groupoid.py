@@ -11,7 +11,8 @@ full product scan.
 All kernel and join work happens on plain integer residues.  Both
 enumerations return a LazySequence of the accepted indices: exact Scalar
 objects, and the CrossedMorphism or Derivation around them, are built on
-access.
+access.  validate_groupoid checks closure and the groupoid laws on one
+composition table, adding the derivations of each composable pair once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     InvariantError,
 )
 from .fields import FieldSpec, same_field
-from .homotopy import Derivation, identity_homotopy, shift_morphism
+from .homotopy import Derivation, shift_morphism
 from .linalg import LinearMap
 from .morphisms import CrossedMorphism, validate_crossed_morphism
 from .validation import ValidationReport
@@ -380,70 +381,72 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
 
 
 def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
-    """Exhaustively verify endpoint bookkeeping and the groupoid laws."""
-    report = ValidationReport(
-        f"HOM({groupoid.source_module.name}, {groupoid.target_module.name})")
-    for check in ("endpoints", "identity", "inverse", "associativity"):
-        report.record(check)
+    """Exhaustively verify endpoint bookkeeping, closure and the groupoid laws.
 
-    objects = groupoid.objects
-    arrows = groupoid.arrows
+    Each composable pair is added once into a table of arrows, where (src, d)
+    names the later of two equal arrows; a sum naming no arrow into the
+    pair's end fails associativity there.  The laws are lookups in the table;
+    arrows at an object without an identity loop skip unit and inverse.
+    """
+    source, target = groupoid.source_module, groupoid.target_module
+    objects, arrows = groupoid.objects, groupoid.arrows
+    report = ValidationReport(f"HOM({source.name}, {target.name})",
+                              ["endpoints", "identity", "inverse", "associativity"])
 
     # Arrow endpoints: anchored at objects[src], shifting onto objects[dst].
-    targets = []
     for t, a in enumerate(arrows):
         der = a.derivation
-        shifted = shift_morphism(der.source_morphism, der.d)
-        targets.append(shifted)
         if der.source_morphism != objects[a.src]:
             report.fail("endpoints", (t + 1,),
                         "arrow anchor", f"objects[{a.src}]")
-        if shifted != objects[a.dst]:
+        if shift_morphism(der.source_morphism, der.d) != objects[a.dst]:
             report.fail("endpoints", (t + 1,),
                         "arrow target", f"objects[{a.dst}]")
 
-    by_key = {(a.src, a.derivation.d._raw_rows): t
-              for t, a in enumerate(arrows)}
+    by_key = {(a.src, a.derivation.d._raw_rows): t for t, a in enumerate(arrows)}
+    out_of: list[list[int]] = [[] for _ in objects]
+    for t, a in enumerate(arrows):
+        out_of[a.src].append(t)
+    pos = {t: k for out in out_of for k, t in enumerate(out)}
 
-    def zero_key(i: int):
-        return (i, identity_homotopy(objects[i]).d._raw_rows)
+    # table[t][k] composes t with out_of[arrows[t].dst][k]; None if missing.
+    table: list[list[int | None]] = []
+    for t1, a in enumerate(arrows):
+        table.append(row := [])
+        for t2 in out_of[a.dst]:
+            b = arrows[t2]
+            t12 = by_key.get((a.src, (a.derivation.d + b.derivation.d)._raw_rows))
+            if t12 is None or arrows[t12].dst != b.dst:
+                report.fail("associativity", (t1 + 1, t2 + 1),
+                            "no composite arrow", f"d1 + d2 into objects[{b.dst}]")
+                t12 = None
+            row.append(t12)
 
-    # Identity arrows exist and are two-sided units.
-    for i in range(len(objects)):
-        if zero_key(i) not in by_key:
+    # Identities are zero-derivation loops; inverses compose to them.
+    zero = LinearMap.zero(source.field, target.m_algebra.dim,
+                          source.p_algebra.dim)._raw_rows
+    ident = [by_key.get((i, zero)) for i in range(len(objects))]
+    for i, e in enumerate(ident):
+        if e is None or arrows[e].dst != i:
+            ident[i] = None
             report.fail("identity", (i + 1,), "no identity arrow", "zero derivation")
     for t, a in enumerate(arrows):
-        der = a.derivation
-        left = identity_homotopy(objects[a.src]).d + der.d
-        right = der.d + identity_homotopy(objects[a.dst]).d
-        if left != der.d or right != der.d:
-            report.fail("identity", (t + 1,), "unit law", "arrow unchanged")
-
-    # Inverses: -d anchored at the target, composing to identities both ways.
-    zero_maps = {i: identity_homotopy(objects[i]).d for i in range(len(objects))}
-    for t, a in enumerate(arrows):
-        inv_key = (a.dst, (-a.derivation.d)._raw_rows)
-        if inv_key not in by_key:
-            report.fail("inverse", (t + 1,), "no inverse arrow", "-d at target")
+        home, away, row = ident[a.src], ident[a.dst], table[t]
+        if home is None or away is None:
             continue
-        round_trip = a.derivation.d + (-a.derivation.d)
-        if round_trip != zero_maps[a.src]:
-            report.fail("inverse", (t + 1,), round_trip, zero_maps[a.src])
+        if table[home][pos[t]] != t or row[pos[away]] != t:
+            report.fail("identity", (t + 1,), "unit law", "arrow unchanged")
+        if home not in row or table[out_of[a.dst][row.index(home)]][pos[t]] != away:
+            report.fail("inverse", (t + 1,), "no inverse arrow", "-d at target")
 
-    # Associativity on all composable triples; composition adds the d's.
-    out_of: dict[int, list[int]] = {}
-    for t, a in enumerate(arrows):
-        out_of.setdefault(a.src, []).append(t)
-    for t1, a in enumerate(arrows):
-        for t2 in out_of.get(a.dst, ()):
-            b = arrows[t2]
-            ab = a.derivation.d + b.derivation.d
-            for t3 in out_of.get(b.dst, ()):
-                c = arrows[t3]
-                lhs = ab + c.derivation.d
-                rhs = a.derivation.d + (b.derivation.d + c.derivation.d)
-                if lhs != rhs:
-                    report.fail("associativity", (t1 + 1, t2 + 1, t3 + 1), lhs, rhs)
+    # Associativity on every composable triple; missing composites failed above.
+    for t1, row1 in enumerate(table):
+        for t2, t12 in zip(out_of[arrows[t1].dst], row1):
+            for t3, t23, lhs in zip(out_of[arrows[t2].dst], table[t2],
+                                    () if t12 is None else table[t12]):
+                if None not in (t23, lhs) and row1[pos[t23]] != lhs:
+                    report.fail("associativity", (t1 + 1, t2 + 1, t3 + 1),
+                                "(t1 t2) t3", "t1 (t2 t3)")
     return report
 
 

@@ -59,7 +59,7 @@ class Derivation:
         return cls(f, d)
 
     def target_morphism(self) -> CrossedMorphism:
-        return homotopy_target(self.source_morphism, self.d, verify=False)
+        return shift_morphism(self.source_morphism, self.d)
 
     def __str__(self):
         return f"derivation {self.d} at {self.source_morphism}"
@@ -94,26 +94,21 @@ def shift_morphism(f: CrossedMorphism, d: LinearMap) -> CrossedMorphism:
     return CrossedMorphism(f.source, f.target, g1, g0)
 
 
-def homotopy_target(f: CrossedMorphism, d: LinearMap,
-                    verify: bool = True) -> CrossedMorphism:
-    """The morphism g that d carries f to.
+def homotopy_target(f: CrossedMorphism, d: LinearMap) -> CrossedMorphism:
+    """The morphism g that d carries f to, after checking d and g.
 
-    With verify on, d must pass is_f0_derivation (otherwise
-    InvalidDerivationError carries the failing report) and the resulting g is
-    re-validated as a crossed-module morphism before being returned
-    (otherwise InvariantError carries g's report; f was not a morphism, or
-    the modules break an axiom).
+    InvalidDerivationError carries the report if d fails is_f0_derivation,
+    InvariantError g's report if g is no crossed-module morphism (f was not
+    one, or the modules break an axiom).  shift_morphism skips both checks.
     """
-    if verify:
-        report = is_f0_derivation(d, f)
-        if not report.ok:
-            raise InvalidDerivationError(report)
+    report = is_f0_derivation(d, f)
+    if not report.ok:
+        raise InvalidDerivationError(report)
     g = shift_morphism(f, d)
-    if verify:
-        report = validate_crossed_morphism(g)
-        if not report.ok:
-            raise InvariantError("shifted map is not a crossed-module morphism",
-                                 report)
+    report = validate_crossed_morphism(g)
+    if not report.ok:
+        raise InvariantError("shifted map is not a crossed-module morphism",
+                             report)
     return g
 
 

@@ -3,8 +3,9 @@
 Small named algebras, the two standard crossed modules used throughout the
 tests, and a generator battery over GF(5): inclusion modules of every ideal
 of affine2 and of the 3-dimensional Heisenberg algebra, a few zero-boundary
-modules over abelian coefficients, and the trivial module.  change_basis
-gives isomorphic copies in seeded random bases.  raw_values, reduced and
+modules over abelian coefficients, and the trivial module.  lines_module
+gives abelian modules of any dimensions, 0 included; change_basis gives
+isomorphic copies in seeded random bases.  raw_values, reduced and
 numbers serve the parity tests, whose reference never touches Scalar:
 Fractions over QQ (non-unit denominators included), plain ints reduced mod
 p over GF(p).
@@ -58,6 +59,17 @@ def x_triv(field: FieldSpec) -> CrossedModule:
     p = LieAlgebra.abelian("triv_p", field, 1)
     return CrossedModule("X_triv", m, p,
                          LinearMap.identity(field, 1), LieAction.zero(p, m))
+
+
+def lines_module(field: FieldSpec, m: int, p: int) -> CrossedModule:
+    """Abelian M and P of dims m and p, zero action, boundary the identity
+    where both dims are 1 and zero otherwise."""
+    m_alg = LieAlgebra.abelian("m", field, m)
+    p_alg = LieAlgebra.abelian("p", field, p)
+    boundary = (LinearMap.identity(field, 1) if (m, p) == (1, 1)
+                else LinearMap.zero(field, p, m))
+    return CrossedModule(f"lines_{m}_{p}", m_alg, p_alg, boundary,
+                         LieAction.zero(p_alg, m_alg))
 
 
 def _rref_basis(rows: list[tuple[int, ...]], p: int) -> tuple[tuple[int, ...], ...]:

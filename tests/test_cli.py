@@ -76,6 +76,22 @@ crossed_modules:
       - {i: 1, j: 1, out: [{k: 1, c: "1"}]}
 """
 
+# A second module with a morphism of its own: ident and line_ident do not
+# share endpoints.
+TWO_MODULE_DOC = X_AFF_DOC.replace("morphisms:\n", """\
+  X_line:
+    m: span_e2
+    p: span_e2
+    boundary: [["1"]]
+    action: []
+morphisms:
+  line_ident:
+    source: X_line
+    target: X_line
+    f1: [["1"]]
+    f0: [["1"]]
+""", 1)
+
 INVALID_DOC = """\
 field: QQ
 algebras:
@@ -272,6 +288,13 @@ class TestEnumeration:
         data = json.loads(text)
         assert len(data["arrows"]) == 99
 
+    def test_structured_stdout_is_the_emit_file(self, ws_path, tmp_path):
+        emit = tmp_path / "groupoid.json"
+        code, text = run(["groupoid", ws_path, "--hom", "X_aff", "X_aff",
+                          "--format", "structured", "--emit", str(emit)])
+        assert code == 0
+        assert text.encode() == emit.read_bytes()
+
 
 class TestHomotopyCommands:
     def test_check_homotopy_pass(self, ws_path):
@@ -295,6 +318,14 @@ class TestHomotopyCommands:
                           "--via", "broken"])
         assert code == 1
         assert "broken derivation_law FAIL" in text
+
+    def test_check_homotopy_mismatched_endpoints_exit_two(self, tmp_path):
+        path = tmp_path / "two.yaml"
+        path.write_text(TWO_MODULE_DOC)
+        code, text = run(["check-homotopy", str(path), "--from", "ident",
+                          "--to", "line_ident", "--via", "shear"])
+        assert code == 2
+        assert text == "error: morphisms do not share endpoints\n"
 
     def test_target_documented_example(self, ws_path):
         code, text = run(["target", ws_path, "--from", "ident", "--via", "shear"])

@@ -6,6 +6,7 @@ from collections.abc import Sequence
 import pytest
 
 import battery
+from battery import lines_module
 import oracle_bruteforce as oracle
 from liecross import (
     CrossedModule,
@@ -37,17 +38,6 @@ def flat(linear_map):
 
 def as_pairs(morphisms):
     return [(flat(m.f1), flat(m.f0)) for m in morphisms]
-
-
-def lines_module(field, m, p):
-    """Abelian M and P of dims m and p, zero action, boundary the identity
-    where both dims are 1 and zero otherwise."""
-    m_alg = LieAlgebra.abelian("m", field, m)
-    p_alg = LieAlgebra.abelian("p", field, p)
-    boundary = (LinearMap.identity(field, 1) if (m, p) == (1, 1)
-                else LinearMap.zero(field, p, m))
-    return CrossedModule(f"lines_{m}_{p}", m_alg, p_alg, boundary,
-                         LieAction.zero(p_alg, m_alg))
 
 
 def oracle_xmod(x):

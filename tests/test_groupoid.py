@@ -1,9 +1,12 @@
 """Groupoid construction, axiom validation, and homotopy classes."""
 
+import random
+
 import pytest
 
 import battery
 import oracle_bruteforce as oracle
+from battery import lines_module
 from fractions import Fraction
 
 from liecross import (
@@ -19,6 +22,7 @@ from liecross import (
     homotopy_classes,
     identity_morphism,
     inclusion_crossed_module,
+    shift_morphism,
     validate_groupoid,
 )
 
@@ -30,6 +34,106 @@ GF3 = FieldSpec.prime(3)
 
 def flat(linear_map):
     return tuple(e.num for row in linear_map.entries for e in row)
+
+
+def reference_failures(groupoid):
+    """The checks validate_groupoid must fail, by nested loops over arrows
+    and LinearMap sums.  An arrow is named by (src, d), the later of two
+    equal names winning; a composite must exist and end where its second
+    arrow does."""
+    objects, arrows = groupoid.objects, groupoid.arrows
+    failed = set()
+
+    def named(src, d):
+        found = None
+        for t, a in enumerate(arrows):
+            if a.src == src and a.derivation.d == d:
+                found = t
+        return found
+
+    composites = {}
+    for t1, a in enumerate(arrows):
+        for t2, b in enumerate(arrows):
+            if a.dst == b.src:
+                t12 = named(a.src, a.derivation.d + b.derivation.d)
+                if t12 is None or arrows[t12].dst != b.dst:
+                    failed.add("associativity")
+                    t12 = None
+                composites[t1, t2] = t12
+
+    def compose(t1, t2):
+        return None if t1 is None or t2 is None else composites.get((t1, t2))
+
+    for a in arrows:
+        der = a.derivation
+        if der.source_morphism != objects[a.src] \
+                or shift_morphism(der.source_morphism, der.d) != objects[a.dst]:
+            failed.add("endpoints")
+    zero = LinearMap.zero(groupoid.source_module.field,
+                          groupoid.target_module.m_algebra.dim,
+                          groupoid.source_module.p_algebra.dim)
+    # Identities are zero loops; arrows at an object without one skip the
+    # unit and inverse laws.
+    ident = [named(i, zero) for i in range(len(objects))]
+    ident = [e if e is not None and arrows[e].dst == i else None
+             for i, e in enumerate(ident)]
+    if None in ident:
+        failed.add("identity")
+    for t, a in enumerate(arrows):
+        home, away = ident[a.src], ident[a.dst]
+        if home is None or away is None:
+            continue
+        if compose(home, t) != t or compose(t, away) != t:
+            failed.add("identity")
+        if not any(b.src == a.dst and compose(t, s) == home and compose(s, t) == away
+                   for s, b in enumerate(arrows)):
+            failed.add("inverse")
+    for (t1, t2), t12 in composites.items():
+        for t3, c in enumerate(arrows):
+            if arrows[t2].dst != c.src:
+                continue
+            lhs, t23 = compose(t12, t3), compose(t2, t3)
+            if None not in (lhs, t23) and compose(t1, t23) != lhs:
+                failed.add("associativity")
+    return failed
+
+
+def corrupt(groupoid, rng):
+    """groupoid with one random arrow dropped, sent elsewhere or given a
+    different derivation."""
+    arrows = list(groupoid.arrows)
+    t = rng.randrange(len(arrows))
+    a = arrows[t]
+    kind = rng.choice(("drop", "dst", "d"))
+    if kind == "drop":
+        del arrows[t]
+    elif kind == "dst":
+        others = [i for i in range(len(groupoid.objects)) if i != a.dst]
+        arrows[t] = Arrow(a.src, rng.choice(others), a.derivation)
+    else:
+        d = a.derivation.d
+        while True:
+            bump = LinearMap.from_rows(d.field, [
+                [rng.randrange(d.field.p) for _ in range(d.cols)]
+                for _ in range(d.rows)])
+            if not bump.is_zero():
+                break
+        arrows[t] = Arrow(a.src, a.dst,
+                          Derivation(a.derivation.source_morphism, d + bump))
+    return HomGroupoid(groupoid.source_module, groupoid.target_module,
+                       groupoid.objects, tuple(arrows))
+
+
+def loops_at(groupoid, i):
+    """|pi1| at object i: the arrows from i to itself."""
+    return sum(1 for a in groupoid.arrows if a.src == a.dst == i)
+
+
+def shape(groupoid):
+    """Object, arrow and class counts and sorted class sizes."""
+    classes = homotopy_classes(groupoid)
+    return (len(groupoid.objects), len(groupoid.arrows), len(classes),
+            sorted(len(c) for c in classes))
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +239,101 @@ class TestValidation:
                              triv_groupoid.objects, tuple(arrows))
         report = validate_groupoid(pruned)
         assert report.failures_for("inverse")
+
+
+class TestCompositionTable:
+    def test_missing_composites_fail_associativity(self, aff_groupoid):
+        # Arrows 12 (3 -> 4, d = [[1, 0]]) and 24 (4 -> 3, d = [[2, 0]])
+        # are each other's inverses, so every other law still holds; only
+        # the composites that should be them are missing.
+        dropped = [aff_groupoid.arrows[12], aff_groupoid.arrows[24]]
+        assert [(a.src, a.dst, flat(a.derivation.d)) for a in dropped] \
+            == [(3, 4, (1, 0)), (4, 3, (2, 0))]
+        arrows = tuple(a for t, a in enumerate(aff_groupoid.arrows)
+                       if t not in (12, 24))
+        report = validate_groupoid(HomGroupoid(
+            aff_groupoid.source_module, aff_groupoid.target_module,
+            aff_groupoid.objects, arrows))
+        assert not report.ok
+        assert set(report.checks) \
+            == {"endpoints", "identity", "inverse", "associativity"}
+        assert {f.check for f in report.failures} == {"associativity"}
+        assert all(len(f.indices) == 2 for f in report.failures)
+
+    @pytest.mark.parametrize("p, seed", [(2, 21), (3, 22)])
+    def test_matches_nested_loop_reference(self, p, seed):
+        # Random single corruptions of small groupoids over GF(p), the
+        # abelian zero-boundary ones among them, where every arrow is a loop.
+        field = FieldSpec.prime(p)
+        names = {"X_triv", "aff_on_line", "aff_on_line_zero", "aff_on_plane"}
+        modules = [battery.x_aff(field)] + [
+            x for x in battery.battery_modules(p) if x.name in names]
+        groupoids = [build_hom_groupoid(x, x) for x in modules]
+        groupoids = [g for g in groupoids if len(g.arrows) <= 160]
+        assert any(all(a.src == a.dst for a in g.arrows) and len(g.arrows)
+                   > len(g.objects) for g in groupoids)
+        rng = random.Random(seed)
+        seen = set()
+        for g in groupoids:
+            for case in [g] + [corrupt(g, rng) for _ in range(5)]:
+                report = validate_groupoid(case)
+                failed = {f.check for f in report.failures}
+                assert failed == reference_failures(case), \
+                    (g.source_module.name, report.lines())
+                assert report.ok == (not failed)
+                seen |= failed
+        assert seen == {"endpoints", "identity", "inverse", "associativity"}
+
+
+class TestGeneratedGroupoids:
+    """Metamorphic checks on generated hom-groupoids over GF(2) and GF(3):
+    battery modules in random bases, dim-0 components and the abelian
+    zero-boundary modules."""
+
+    @staticmethod
+    def pool(p, seed):
+        field = FieldSpec.prime(p)
+        pool = battery.battery_modules(p) + [
+            lines_module(field, m, q) for m, q in [(0, 0), (0, 1), (1, 0)]]
+        return [battery.change_basis(x, seed * 100 + k) for k, x in enumerate(pool)]
+
+    @staticmethod
+    def small(a, b):
+        p = a.field.p
+        dm, dp = a.m_algebra.dim, a.p_algebra.dim
+        dm2, dp2 = b.m_algebra.dim, b.p_algebra.dim
+        return p ** (dm2 * dm + dp2 * dp) <= 1024 and p ** (dm2 * dp) <= 27
+
+    @pytest.mark.parametrize("p, seed", [(2, 31), (3, 32)])
+    def test_arrows_count_by_class_and_vertex_group(self, p, seed):
+        # #arrows = sum over classes C of |C|^2 |pi1(C)|, pi1(C) the loops
+        # at C's first member, counted from the arrow list alone.
+        pool = self.pool(p, seed)
+        pairs = [(a, b) for a in pool for b in pool if self.small(a, b)]
+        assert len(pairs) > 100
+        nontrivial = 0
+        for a, b in pairs:
+            g = build_hom_groupoid(a, b)
+            classes = homotopy_classes(g)
+            counted = sum(len(c) ** 2 * loops_at(g, c[0]) for c in classes)
+            assert len(g.arrows) == counted, (a.name, b.name)
+            nontrivial += any(loops_at(g, c[0]) > 1 for c in classes)
+        assert nontrivial
+
+    @pytest.mark.parametrize("p, seed", [(2, 41), (3, 42)])
+    def test_change_of_basis_preserves_shape(self, p, seed):
+        pool = self.pool(p, seed)
+        moved = [battery.change_basis(x, seed * 100 + 50 + k)
+                 for k, x in enumerate(pool)]
+        for a, a_moved in zip(pool, moved):
+            for b, b_moved in zip(pool, moved):
+                if not self.small(a, b):
+                    continue
+                expected = shape(build_hom_groupoid(a, b))
+                assert shape(build_hom_groupoid(a_moved, b)) == expected, \
+                    (a.name, b.name)
+                assert shape(build_hom_groupoid(a, b_moved)) == expected, \
+                    (a.name, b.name)
 
 
 class TestHomotopyClasses:
