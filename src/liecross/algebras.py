@@ -293,32 +293,23 @@ def validate_lie_algebra(algebra: LieAlgebra) -> ValidationReport:
     Antisymmetry includes the alternating requirement c[i][i][k] = 0, which
     is not implied by c[i][j][k] = -c[j][i][k] in characteristic 2.
     """
-    report = ValidationReport(algebra.name)
-    report.record("antisymmetry")
-    report.record("jacobi")
+    report = ValidationReport(algebra.name, ["antisymmetry"])
     c = algebra.structure
     n = algebra.dim
     zero = algebra.field.zero()
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                if i == j:
-                    if c[i][i][k]:
-                        report.fail("antisymmetry", (i + 1, i + 1, k + 1),
-                                    c[i][i][k], zero)
-                elif c[i][j][k] != -c[j][i][k]:
-                    report.fail("antisymmetry", (i + 1, j + 1, k + 1),
-                                c[i][j][k], -c[j][i][k])
+                want = zero if i == j else -c[j][i][k]
+                if c[i][j][k] != want:
+                    report.fail("antisymmetry", (i + 1, j + 1, k + 1), c[i][j][k], want)
     zero_vec = algebra.zero_vector()
     basis = algebra.basis_vectors()
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                total = (algebra.bracket(basis[i], algebra.bracket(basis[j], basis[l]))
-                         + algebra.bracket(basis[j], algebra.bracket(basis[l], basis[i]))
-                         + algebra.bracket(basis[l], algebra.bracket(basis[i], basis[j])))
-                if not total.is_zero():
-                    report.fail("jacobi", (i + 1, j + 1, l + 1), total, zero_vec)
+    br = algebra.bracket
+    report.check("jacobi", (n, n, n), lambda i, j, l: (
+        br(basis[i], br(basis[j], basis[l]))
+        + br(basis[j], br(basis[l], basis[i]))
+        + br(basis[l], br(basis[i], basis[j])), zero_vec))
     return report
 
 
@@ -326,38 +317,24 @@ def validate_action(action: LieAction) -> ValidationReport:
     """Check the bracket-actor and Leibniz axioms on all basis tuples."""
     p_alg, m_alg = action.actor, action.acted
     report = ValidationReport(f"action of {p_alg.name} on {m_alg.name}")
-    report.record("action_bracket")
-    report.record("action_leibniz")
     ps = p_alg.basis_vectors()
     ms = m_alg.basis_vectors()
-    for i, p in enumerate(ps):
-        for j, q in enumerate(ps):
-            pq = p_alg.bracket(p, q)
-            for k, m in enumerate(ms):
-                lhs = action.act(pq, m)
-                rhs = action.act(p, action.act(q, m)) - action.act(q, action.act(p, m))
-                if lhs != rhs:
-                    report.fail("action_bracket", (i + 1, j + 1, k + 1), lhs, rhs)
-    for i, p in enumerate(ps):
-        for j, m in enumerate(ms):
-            for k, m2 in enumerate(ms):
-                lhs = action.act(p, m_alg.bracket(m, m2))
-                rhs = (m_alg.bracket(action.act(p, m), m2)
-                       + m_alg.bracket(m, action.act(p, m2)))
-                if lhs != rhs:
-                    report.fail("action_leibniz", (i + 1, j + 1, k + 1), lhs, rhs)
+    act, br = action.act, m_alg.bracket
+    pqs = [[p_alg.bracket(p, q) for q in ps] for p in ps]
+    report.check("action_bracket", (len(ps), len(ps), len(ms)), lambda i, j, k: (
+        act(pqs[i][j], ms[k]),
+        act(ps[i], act(ps[j], ms[k])) - act(ps[j], act(ps[i], ms[k]))))
+    report.check("action_leibniz", (len(ps), len(ms), len(ms)), lambda i, j, k: (
+        act(ps[i], br(ms[j], ms[k])),
+        br(act(ps[i], ms[j]), ms[k]) + br(ms[j], act(ps[i], ms[k]))))
     return report
 
 
-def _morphism_mismatches(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra):
-    """Yield (i, j, lhs, rhs) where f[e_i, e_j] != [f e_i, f e_j], 0-based."""
+def _lie_morphism_sides(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra):
+    """sides(i, j) = (f[e_i, e_j], [f e_i, f e_j]), for ValidationReport.check."""
     images = f.columns()
-    for i in range(dom.dim):
-        for j in range(dom.dim):
-            lhs = f.apply(dom.basis_bracket(i, j))
-            rhs = cod.bracket(images[i], images[j])
-            if lhs != rhs:
-                yield i, j, lhs, rhs
+    return lambda i, j: (f.apply(dom.basis_bracket(i, j)),
+                         cod.bracket(images[i], images[j]))
 
 
 def validate_crossed_module(xmod: CrossedModule) -> ValidationReport:
@@ -367,28 +344,18 @@ def validate_crossed_module(xmod: CrossedModule) -> ValidationReport:
     this report covers boundary_morphism, cm1 and cm2 only.
     """
     report = ValidationReport(xmod.name)
-    report.record("boundary_morphism")
-    report.record("cm1")
-    report.record("cm2")
     m_alg, p_alg = xmod.m_algebra, xmod.p_algebra
-    boundary, action = xmod.boundary, xmod.action
-    for i, j, lhs, rhs in _morphism_mismatches(boundary, m_alg, p_alg):
-        report.fail("boundary_morphism", (i + 1, j + 1), lhs, rhs)
+    boundary, act = xmod.boundary, xmod.action.act
+    m, p = m_alg.dim, p_alg.dim
+    report.check("boundary_morphism", (m, m),
+                 _lie_morphism_sides(boundary, m_alg, p_alg))
     ps = p_alg.basis_vectors()
     ms = m_alg.basis_vectors()
-    boundary_images = [boundary.apply(m) for m in ms]
-    for i, p in enumerate(ps):
-        for j, m in enumerate(ms):
-            lhs = boundary.apply(action.act(p, m))
-            rhs = p_alg.bracket(p, boundary_images[j])
-            if lhs != rhs:
-                report.fail("cm1", (i + 1, j + 1), lhs, rhs)
-    for i, m in enumerate(ms):
-        for j, m2 in enumerate(ms):
-            lhs = action.act(boundary_images[i], m2)
-            rhs = m_alg.bracket(m, m2)
-            if lhs != rhs:
-                report.fail("cm2", (i + 1, j + 1), lhs, rhs)
+    images = [boundary.apply(v) for v in ms]
+    report.check("cm1", (p, m), lambda i, j: (
+        boundary.apply(act(ps[i], ms[j])), p_alg.bracket(ps[i], images[j])))
+    report.check("cm2", (m, m), lambda i, j: (
+        act(images[i], ms[j]), m_alg.bracket(ms[i], ms[j])))
     return report
 
 

@@ -43,7 +43,6 @@ import yaml
 from .algebras import CrossedModule, LieAction, LieAlgebra
 from .errors import DocumentError, LiecrossError
 from .fields import FieldSpec
-from .homotopy import Derivation
 from .linalg import LinearMap
 from .morphisms import CrossedMorphism
 
@@ -69,9 +68,6 @@ class DerivationCertificate:
     base_name: str
     base: CrossedMorphism
     d: LinearMap
-
-    def as_derivation(self) -> Derivation:
-        return Derivation.checked(self.base, self.d)
 
 
 @dataclass

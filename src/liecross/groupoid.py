@@ -394,25 +394,31 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
                               ["endpoints", "identity", "inverse", "associativity"])
 
     # Arrow endpoints: anchored at objects[src], shifting onto objects[dst].
+    # An arrow with an endpoint that names no object is kept out of the laws.
+    objs = range(len(objects))
+    kept = []
     for t, a in enumerate(arrows):
-        der = a.derivation
-        if der.source_morphism != objects[a.src]:
-            report.fail("endpoints", (t + 1,),
-                        "arrow anchor", f"objects[{a.src}]")
-        if shift_morphism(der.source_morphism, der.d) != objects[a.dst]:
-            report.fail("endpoints", (t + 1,),
-                        "arrow target", f"objects[{a.dst}]")
+        f = a.derivation.source_morphism
+        for end, i, got in (("anchor", a.src, f),
+                            ("target", a.dst, shift_morphism(f, a.derivation.d))):
+            if i not in objs:
+                report.fail("endpoints", (t + 1,), f"arrow {end}",
+                            f"objects[{i}], out of range")
+            elif got != objects[i]:
+                report.fail("endpoints", (t + 1,), f"arrow {end}", f"objects[{i}]")
+        if a.src in objs and a.dst in objs:
+            kept.append(t)
 
-    by_key = {(a.src, a.derivation.d._raw_rows): t for t, a in enumerate(arrows)}
+    by_key = {(arrows[t].src, arrows[t].derivation.d._raw_rows): t for t in kept}
     out_of: list[list[int]] = [[] for _ in objects]
-    for t, a in enumerate(arrows):
-        out_of[a.src].append(t)
+    for t in kept:
+        out_of[arrows[t].src].append(t)
     pos = {t: k for out in out_of for k, t in enumerate(out)}
 
     # table[t][k] composes t with out_of[arrows[t].dst][k]; None if missing.
-    table: list[list[int | None]] = []
-    for t1, a in enumerate(arrows):
-        table.append(row := [])
+    table: list[list[int | None]] = [[] for _ in arrows]
+    for t1 in kept:
+        a, row = arrows[t1], table[t1]
         for t2 in out_of[a.dst]:
             b = arrows[t2]
             t12 = by_key.get((a.src, (a.derivation.d + b.derivation.d)._raw_rows))
@@ -430,7 +436,8 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
         if e is None or arrows[e].dst != i:
             ident[i] = None
             report.fail("identity", (i + 1,), "no identity arrow", "zero derivation")
-    for t, a in enumerate(arrows):
+    for t in kept:
+        a = arrows[t]
         home, away, row = ident[a.src], ident[a.dst], table[t]
         if home is None or away is None:
             continue
@@ -440,7 +447,8 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
             report.fail("inverse", (t + 1,), "no inverse arrow", "-d at target")
 
     # Associativity on every composable triple; missing composites failed above.
-    for t1, row1 in enumerate(table):
+    for t1 in kept:
+        row1 = table[t1]
         for t2, t12 in zip(out_of[arrows[t1].dst], row1):
             for t3, t23, lhs in zip(out_of[arrows[t2].dst], table[t2],
                                     () if t12 is None else table[t12]):

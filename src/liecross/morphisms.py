@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import CrossedModule, LieAlgebra, _morphism_mismatches
+from .algebras import CrossedModule, LieAlgebra, _lie_morphism_sides
 from .errors import EndpointMismatchError, FieldMismatchError, ShapeMismatchError
 from .fields import same_field
 from .linalg import LinearMap
@@ -60,9 +60,7 @@ def is_lie_morphism(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra,
     if not (same_field(f.field, dom.field) and same_field(dom.field, cod.field)):
         raise FieldMismatchError("map and algebras over different fields")
     report = ValidationReport(subject)
-    report.record("lie_morphism")
-    for i, j, lhs, rhs in _morphism_mismatches(f, dom, cod):
-        report.fail("lie_morphism", (i + 1, j + 1), lhs, rhs)
+    report.check("lie_morphism", (dom.dim, dom.dim), _lie_morphism_sides(f, dom, cod))
     return report
 
 
@@ -70,30 +68,22 @@ def validate_crossed_morphism(phi: CrossedMorphism,
                               subject: str = "morphism") -> ValidationReport:
     """Check both component morphisms, equivariance and the boundary square."""
     report = ValidationReport(subject)
-    report.record("f1_morphism")
-    report.record("f0_morphism")
-    report.record("equivariance")
-    report.record("square")
     src, dst = phi.source, phi.target
-    for i, j, lhs, rhs in _morphism_mismatches(phi.f1, src.m_algebra, dst.m_algebra):
-        report.fail("f1_morphism", (i + 1, j + 1), lhs, rhs)
-    for i, j, lhs, rhs in _morphism_mismatches(phi.f0, src.p_algebra, dst.p_algebra):
-        report.fail("f0_morphism", (i + 1, j + 1), lhs, rhs)
+    m, p = src.m_algebra.dim, src.p_algebra.dim
+    report.check("f1_morphism", (m, m),
+                 _lie_morphism_sides(phi.f1, src.m_algebra, dst.m_algebra))
+    report.check("f0_morphism", (p, p),
+                 _lie_morphism_sides(phi.f0, src.p_algebra, dst.p_algebra))
     # Equivariance: f1(p . m) = f0(p) . f1(m) on basis pairs of P x M.
     f0_images = phi.f0.columns()
     f1_images = phi.f1.columns()
-    for i in range(src.p_algebra.dim):
-        for j in range(src.m_algebra.dim):
-            lhs = phi.f1.apply(src.action.basis_act(i, j))
-            rhs = dst.action.act(f0_images[i], f1_images[j])
-            if lhs != rhs:
-                report.fail("equivariance", (i + 1, j + 1), lhs, rhs)
+    report.check("equivariance", (p, m), lambda i, j: (
+        phi.f1.apply(src.action.basis_act(i, j)),
+        dst.action.act(f0_images[i], f1_images[j])))
     # Square: boundary' . f1 = f0 . boundary, compared column by column.
     left = dst.boundary.compose(phi.f1)
     right = phi.f0.compose(src.boundary)
-    for j in range(left.cols):
-        if left.column(j) != right.column(j):
-            report.fail("square", (j + 1,), left.column(j), right.column(j))
+    report.check("square", (m,), lambda j: (left.column(j), right.column(j)))
     return report
 
 

@@ -4,11 +4,20 @@ Validators never raise on a failed axiom; they return a report listing every
 check that ran and, for each failure, the basis tuple that witnessed it plus
 the two sides of the identity that disagreed.  Indices in witnesses are
 1-based, matching how basis vectors are written everywhere else.
+
+Identities on basis tuples go through ValidationReport.check (antisymmetry,
+which visits only i <= j, has its own loop): it records the check, walks the
+0-based index tuples of a shape in lexicographic order and fails the check,
+with 1-based indices and both sides, at every tuple whose sides differ.  A
+report lists all failing tuples of a check in that order; lines() shows the
+first.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Union
 
 from .fields import Scalar
@@ -54,6 +63,15 @@ class ValidationReport:
     def fail(self, check: str, indices: tuple[int, ...], lhs: Witness, rhs: Witness):
         self.record(check)
         self.failures.append(Failure(check, indices, lhs, rhs))
+
+    def check(self, check: str, shape: tuple[int, ...],
+              sides: Callable[..., tuple[Witness, Witness]]):
+        """Record check; fail it at each index tuple of shape whose sides differ."""
+        self.record(check)
+        for indices in product(*map(range, shape)):
+            lhs, rhs = sides(*indices)
+            if lhs != rhs:
+                self.fail(check, tuple([i + 1 for i in indices]), lhs, rhs)
 
     def failures_for(self, check: str) -> list[Failure]:
         return [f for f in self.failures if f.check == check]

@@ -1,6 +1,7 @@
 """Exhaustive enumeration over prime fields, cross-checked against the
 independent brute-force oracle."""
 
+import random
 from collections.abc import Sequence
 
 import pytest
@@ -131,6 +132,28 @@ class TestGeneratedJoinParity:
             assert as_pairs(enumerate_morphisms(a, b)) \
                 == oracle.enumerate_morphisms(oracle_xmod(a), oracle_xmod(b)), \
                 (a.name, b.name)
+
+    @pytest.mark.parametrize("p, seed", [(2, 21), (3, 22)])
+    def test_derivations_at_random_morphisms_match_oracle(self, p, seed):
+        # Up to two random non-identity morphisms per pair of battery modules
+        # in random bases; over a hundred of them have a nonzero f0.
+        rng = random.Random(seed)
+        pool = [battery.change_basis(x, seed * 100 + k)
+                for k, x in enumerate(battery.battery_modules(p))]
+        nonzero = 0
+        for a in pool:
+            for b in pool:
+                if morphism_space(a, b) > 1024 \
+                        or p ** (b.m_algebra.dim * a.p_algebra.dim) > 729:
+                    continue
+                objects = [f for f in enumerate_morphisms(a, b)
+                           if f != identity_morphism(a)]
+                for f in rng.sample(objects, min(2, len(objects))):
+                    assert [flat(h.d) for h in enumerate_derivations(f)] \
+                        == oracle.enumerate_derivations(oracle_xmod(a), oracle_xmod(b),
+                                                        flat(f.f0)), (a.name, b.name)
+                    nonzero += not f.f0.is_zero()
+        assert nonzero > 100
 
     def test_bucket_with_several_actions(self):
         # aff_on_plane has boundary 0, so every pair of Lie morphisms lands in

@@ -229,6 +229,24 @@ class TestValidation:
         assert not report.failures_for("identity")
         assert not report.failures_for("endpoints")
 
+    @pytest.mark.parametrize("end, index", [("dst", 7), ("src", 5), ("dst", -1)])
+    def test_endpoint_naming_no_object_fails_endpoints(self, end, index):
+        # The arrow fails endpoints once, without an exception, and is left
+        # out of the laws: they report what they report with it dropped.
+        g = build_hom_groupoid(battery.x_triv(GF3), battery.x_triv(GF3))
+        first = g.arrows[0]
+        ends = {"src": first.src, "dst": first.dst, end: index}
+        report = validate_groupoid(HomGroupoid(
+            g.source_module, g.target_module, g.objects,
+            (Arrow(ends["src"], ends["dst"], first.derivation),) + g.arrows[1:]))
+        what = "anchor" if end == "src" else "target"
+        assert [(f.indices, f.lhs, f.rhs) for f in report.failures_for("endpoints")] \
+            == [((1,), f"arrow {what}", f"objects[{index}], out of range")]
+        dropped = validate_groupoid(HomGroupoid(
+            g.source_module, g.target_module, g.objects, g.arrows[1:]))
+        assert [(f.check, f.lhs) for f in report.failures if f.check != "endpoints"] \
+            == [(f.check, f.lhs) for f in dropped.failures]
+
     def test_missing_inverse_detected(self, triv_groupoid):
         # Dropping one non-identity arrow leaves its partner inverse-less.
         arrows = list(triv_groupoid.arrows)
