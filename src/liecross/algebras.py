@@ -13,7 +13,8 @@ lower each coordinate back to a Scalar.
 Axiom checking lives in the validate_* functions, which return witness
 bearing reports instead of raising.  Constructors only reject malformed
 shapes; the one exception is inclusion_crossed_module, which must refuse a
-non-ideal to produce anything meaningful.
+non-ideal to produce anything meaningful.  It and abelian_zero_crossed_module
+validate what they build and raise InvariantError if it breaks an axiom.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     FieldMismatchError,
+    InvariantError,
     NotAbelianError,
     NotAnIdealError,
     ShapeMismatchError,
 )
 from .fields import FieldSpec, Scalar, same_field
-from .linalg import LinearMap, Vector, span_solver
+from .linalg import LinearMap, Vector, _row_reduce, span_solver
 from .validation import ValidationReport
 
 # Structure tensors are dense, so O(n^3) storage; fine for desk scale.
@@ -84,17 +86,11 @@ def _expand(field: FieldSpec, terms, x: Vector, y: Vector, dim: int) -> Vector:
     return Vector(field, tuple([lower(v) for v in out]))
 
 
-def _zero_tensor(field: FieldSpec, shape: tuple[int, int, int]) -> Tensor:
-    z = field.zero()
-    d0, d1, d2 = shape
-    return tuple(tuple(tuple(z for _ in range(d2)) for _ in range(d1))
-                 for _ in range(d0))
-
-
 def _sparse_to_dense(field: FieldSpec, shape: tuple[int, int, int],
                      entries: Iterable[tuple[int, int, Mapping[int, object]]],
                      antisymmetric: bool) -> Tensor:
-    """Fill a dense tensor from 1-based sparse entries (i, j, {k: coeff})."""
+    """Fill a dense tensor from 1-based sparse entries (i, j, {k: coeff});
+    with no entries, the zero tensor of the shape."""
     d0, d1, d2 = shape
     cells: dict[tuple[int, int, int], Scalar] = {}
     for i, j, out in entries:
@@ -141,8 +137,7 @@ class LieAlgebra:
 
     @classmethod
     def abelian(cls, name: str, field: FieldSpec, dim: int) -> "LieAlgebra":
-        _check_dim(dim)
-        return cls(name, field, dim, _zero_tensor(field, (dim, dim, dim)))
+        return cls.from_sparse_brackets(name, field, dim, ())
 
     @classmethod
     def from_sparse_brackets(
@@ -215,8 +210,7 @@ class LieAction:
 
     @classmethod
     def zero(cls, actor: LieAlgebra, acted: LieAlgebra) -> "LieAction":
-        shape = (actor.dim, acted.dim, acted.dim)
-        return cls(actor, acted, _zero_tensor(actor.field, shape))
+        return cls.from_sparse(actor, acted, ())
 
     @classmethod
     def from_sparse(cls, actor: LieAlgebra, acted: LieAlgebra,
@@ -262,11 +256,8 @@ class CrossedModule:
             raise FieldMismatchError("module and base algebras over different fields")
         if not same_field(self.boundary.field, self.m_algebra.field):
             raise FieldMismatchError("boundary map over a different field")
-        if (self.boundary.rows, self.boundary.cols) != (self.p_algebra.dim,
-                                                        self.m_algebra.dim):
-            raise ShapeMismatchError(
-                f"boundary is {self.boundary.rows}x{self.boundary.cols}, expected "
-                f"{self.p_algebra.dim}x{self.m_algebra.dim}")
+        self.boundary._require_shape(self.p_algebra.dim, self.m_algebra.dim,
+                                     "boundary")
         if self.action.actor != self.p_algebra or self.action.acted != self.m_algebra:
             raise ShapeMismatchError("action does not connect the stated algebras")
 
@@ -359,6 +350,35 @@ def validate_crossed_module(xmod: CrossedModule) -> ValidationReport:
     return report
 
 
+def _verified(xmod: CrossedModule) -> CrossedModule:
+    """xmod once validate_crossed_module passes on it; InvariantError if not."""
+    report = validate_crossed_module(xmod)
+    if not report.ok:
+        raise InvariantError(f"{xmod.name} fails a crossed-module axiom", report)
+    return xmod
+
+
+def _span_coordinates(algebra: LieAlgebra, left: Sequence[Vector],
+                      right: Sequence[Vector]) -> Tensor:
+    """[u_i, v_j] in coordinates over right, for u_i in left and v_j in right.
+
+    right must be independent.  NotAnIdealError names the first (i, j), in
+    1-based lexicographic order, whose bracket leaves the span of right.
+    """
+    coords_of = span_solver(right, algebra.field, algebra.dim)
+    out = []
+    for i, u in enumerate(left):
+        row = []
+        for j, v in enumerate(right):
+            w = algebra.bracket(u, v)
+            coords = coords_of(w)
+            if coords is None:
+                raise NotAnIdealError((i + 1, j + 1), w)
+            row.append(coords.entries)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def inclusion_crossed_module(p_algebra: LieAlgebra,
                              ideal_basis: Sequence[Vector],
                              name: str | None = None) -> CrossedModule:
@@ -371,41 +391,18 @@ def inclusion_crossed_module(p_algebra: LieAlgebra,
     ideal_basis = list(ideal_basis)
     for v in ideal_basis:
         p_algebra._check_member(v)
-    coords_of = span_solver(ideal_basis, field, p_algebra.dim)
     k = len(ideal_basis)
-
-    # [e_i, v_j] in ideal coordinates; doubles as the action tensor.
-    action_rows = []
-    for i in range(p_algebra.dim):
-        e_i = p_algebra.basis(i)
-        row = []
-        for j, v in enumerate(ideal_basis):
-            w = p_algebra.bracket(e_i, v)
-            coords = coords_of(w)
-            if coords is None:
-                raise NotAnIdealError((i + 1, j + 1), w)
-            row.append(coords.entries)
-        action_rows.append(tuple(row))
-
-    # Bracket closure of the span follows by bilinearity, so this cannot fail.
-    structure = []
-    for v in ideal_basis:
-        row = []
-        for w in ideal_basis:
-            coords = coords_of(p_algebra.bracket(v, w))
-            assert coords is not None
-            row.append(coords.entries)
-        structure.append(tuple(row))
-
+    # [e_i, v_j] in ideal coordinates is the action tensor; bracket closure
+    # of the span follows from it by bilinearity, so the structure cannot fail.
+    action = _span_coordinates(p_algebra, p_algebra.basis_vectors(), ideal_basis)
+    structure = _span_coordinates(p_algebra, ideal_basis, ideal_basis)
     if name is None:
         name = f"{p_algebra.name}_ideal{k}"
-    m_algebra = LieAlgebra(f"{name}_module", field, k, tuple(structure))
-    action = LieAction(p_algebra, m_algebra, tuple(action_rows))
+    m_algebra = LieAlgebra(f"{name}_module", field, k, structure)
     boundary = (LinearMap.from_columns(field, ideal_basis, rows=p_algebra.dim)
                 if k else LinearMap.zero(field, p_algebra.dim, 0))
-    xmod = CrossedModule(name, m_algebra, p_algebra, boundary, action)
-    assert validate_crossed_module(xmod).ok
-    return xmod
+    return _verified(CrossedModule(name, m_algebra, p_algebra, boundary,
+                                   LieAction(p_algebra, m_algebra, action)))
 
 
 @dataclass(frozen=True)
@@ -426,30 +423,15 @@ def image_is_ideal(xmod: CrossedModule) -> ImageIdealResult:
     Holds for every valid crossed module; the spanning set returned is an
     independent subset of the boundary's columns.
     """
-    p_alg = xmod.p_algebra
-    field = xmod.field
-
-    spanning: list[Vector] = []
-    for j in range(xmod.boundary.cols):
-        col = xmod.boundary.column(j)
-        if col.is_zero():
-            continue
-        if not spanning:
-            spanning.append(col)
-            continue
-        if span_solver(spanning, field, p_alg.dim)(col) is None:
-            spanning.append(col)
-
-    if not spanning:
-        return ImageIdealResult(True, ())
-    coords_of = span_solver(spanning, field, p_alg.dim)
-    for i in range(p_alg.dim):
-        e_i = p_alg.basis(i)
-        for j, s in enumerate(spanning):
-            w = p_alg.bracket(e_i, s)
-            if coords_of(w) is None:
-                return ImageIdealResult(False, tuple(spanning), ((i + 1, j + 1), w))
-    return ImageIdealResult(True, tuple(spanning))
+    boundary = xmod.boundary
+    # The pivot columns are those that raise the rank of the ones before.
+    _, pivots = _row_reduce([list(row) for row in boundary.entries], xmod.field)
+    spanning = tuple(boundary.column(j) for j in pivots)
+    try:
+        _span_coordinates(xmod.p_algebra, xmod.p_algebra.basis_vectors(), spanning)
+    except NotAnIdealError as exc:
+        return ImageIdealResult(False, spanning, (exc.pair, exc.value))
+    return ImageIdealResult(True, spanning)
 
 
 def abelian_zero_crossed_module(p_algebra: LieAlgebra,
@@ -469,6 +451,5 @@ def abelian_zero_crossed_module(p_algebra: LieAlgebra,
     if name is None:
         name = f"{p_algebra.name}_on_{m_algebra.name}"
     boundary = LinearMap.zero(p_algebra.field, p_algebra.dim, m_algebra.dim)
-    xmod = CrossedModule(name, m_algebra, p_algebra, boundary, module_action)
-    assert validate_crossed_module(xmod).ok
-    return xmod
+    return _verified(CrossedModule(name, m_algebra, p_algebra, boundary,
+                                   module_action))

@@ -124,8 +124,7 @@ def _cmd_enumerate_derivations(ws: Workspace, args, out) -> int:
 
 
 def _cmd_groupoid(ws: Workspace, args, out) -> int:
-    source = ws.require_module(args.hom[0])
-    target = ws.require_module(args.hom[1])
+    source, target = map(ws.require_module, args.hom)
     groupoid = build_hom_groupoid(source, target,
                                   budget=args.budget, workers=args.workers)
     classes = homotopy_classes(groupoid)
@@ -137,7 +136,11 @@ def _cmd_groupoid(ws: Workspace, args, out) -> int:
                        for a in groupoid.arrows],
             "classes": classes}, indent=2)
         if args.emit:
-            Path(args.emit).write_text(document + "\n")
+            try:
+                Path(args.emit).write_text(document + "\n")
+            except OSError as exc:
+                print(f"error: cannot write {args.emit}: {exc}", file=out)
+                return 2
         if args.format == "structured":
             print(document, file=out)
             return 0
@@ -154,8 +157,7 @@ def _cmd_groupoid(ws: Workspace, args, out) -> int:
 
 
 def _cmd_classes(ws: Workspace, args, out) -> int:
-    source = ws.require_module(args.hom[0])
-    target = ws.require_module(args.hom[1])
+    source, target = map(ws.require_module, args.hom)
     groupoid = build_hom_groupoid(source, target,
                                   budget=args.budget, workers=args.workers)
     classes = homotopy_classes(groupoid)

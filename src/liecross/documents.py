@@ -31,6 +31,11 @@ and the zero diagonal are implied).  Matrices are row-major lists of scalar
 strings.  Parsing applies shape checks only; axiom validation is a separate
 step, so invalid algebras can be loaded and then reported on.  Every parse
 error carries the path of the offending node.
+
+One lookup rule resolves every reference: m, p, source, target, base and the
+names the Workspace.require_* methods take.  A reference is a string naming
+an object of its kind; anything else, a YAML list or mapping included, is an
+"unknown <kind>" error at the reference's path.
 """
 
 from __future__ import annotations
@@ -81,19 +86,21 @@ class Workspace:
     derivations: dict[str, DerivationCertificate] = dc_field(default_factory=dict)
 
     def require_module(self, name: str) -> CrossedModule:
-        if name not in self.crossed_modules:
-            raise DocumentError("crossed_modules", f"unknown crossed module {name!r}")
-        return self.crossed_modules[name]
+        return _lookup(self.crossed_modules, name, "crossed module", "crossed_modules")
 
     def require_morphism(self, name: str) -> CrossedMorphism:
-        if name not in self.morphisms:
-            raise DocumentError("morphisms", f"unknown morphism {name!r}")
-        return self.morphisms[name]
+        return _lookup(self.morphisms, name, "morphism", "morphisms")
 
     def require_derivation(self, name: str) -> DerivationCertificate:
-        if name not in self.derivations:
-            raise DocumentError("derivations", f"unknown derivation {name!r}")
-        return self.derivations[name]
+        return _lookup(self.derivations, name, "derivation", "derivations")
+
+
+def _lookup(table: dict, name, kind: str, path: str):
+    """table[name], or an "unknown <kind>" DocumentError at path.  Tables are
+    keyed by strings, so a name of another type (a YAML list, say) is unknown."""
+    if not isinstance(name, str) or name not in table:
+        raise DocumentError(path, f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def _expect_mapping(node, path: str) -> dict:
@@ -220,13 +227,8 @@ def _parse_crossed_module(name: str, node, ws: Workspace,
                           path: str) -> CrossedModule:
     node = _expect_mapping(node, path)
     _check_keys(node, _XMOD_KEYS, path)
-    m_name = _get(node, "m", path)
-    if m_name not in ws.algebras:
-        raise DocumentError(f"{path}.m", f"unknown algebra {m_name!r}")
-    p_name = _get(node, "p", path)
-    if p_name not in ws.algebras:
-        raise DocumentError(f"{path}.p", f"unknown algebra {p_name!r}")
-    m_alg, p_alg = ws.algebras[m_name], ws.algebras[p_name]
+    m_alg = _lookup(ws.algebras, _get(node, "m", path), "algebra", f"{path}.m")
+    p_alg = _lookup(ws.algebras, _get(node, "p", path), "algebra", f"{path}.p")
     boundary = _parse_matrix(ws.field, _get(node, "boundary", path),
                              p_alg.dim, m_alg.dim, f"{path}.boundary")
     if "action" in node:
@@ -246,15 +248,9 @@ def _parse_crossed_module(name: str, node, ws: Workspace,
 def _parse_morphism(node, ws: Workspace, path: str) -> CrossedMorphism:
     node = _expect_mapping(node, path)
     _check_keys(node, _MORPHISM_KEYS, path)
-    src_name = _get(node, "source", path)
-    if src_name not in ws.crossed_modules:
-        raise DocumentError(f"{path}.source",
-                            f"unknown crossed module {src_name!r}")
-    dst_name = _get(node, "target", path)
-    if dst_name not in ws.crossed_modules:
-        raise DocumentError(f"{path}.target",
-                            f"unknown crossed module {dst_name!r}")
-    src, dst = ws.crossed_modules[src_name], ws.crossed_modules[dst_name]
+    src, dst = (_lookup(ws.crossed_modules, _get(node, end, path),
+                        "crossed module", f"{path}.{end}")
+                for end in ("source", "target"))
     f1 = _parse_matrix(ws.field, _get(node, "f1", path),
                        dst.m_algebra.dim, src.m_algebra.dim, f"{path}.f1")
     f0 = _parse_matrix(ws.field, _get(node, "f0", path),
@@ -269,9 +265,7 @@ def _parse_derivation(node, ws: Workspace, path: str) -> DerivationCertificate:
     node = _expect_mapping(node, path)
     _check_keys(node, _DERIVATION_KEYS, path)
     base_name = _get(node, "base", path)
-    if base_name not in ws.morphisms:
-        raise DocumentError(f"{path}.base", f"unknown morphism {base_name!r}")
-    base = ws.morphisms[base_name]
+    base = _lookup(ws.morphisms, base_name, "morphism", f"{path}.base")
     d = _parse_matrix(ws.field, _get(node, "d", path),
                       base.target.m_algebra.dim, base.source.p_algebra.dim,
                       f"{path}.d")
@@ -327,18 +321,12 @@ def _sparse_doc(tensor, antisymmetric: bool) -> list[dict]:
     return rows
 
 
-def _algebra_name(ws: Workspace, algebra: LieAlgebra, context: str) -> str:
-    for name, candidate in ws.algebras.items():
-        if candidate == algebra:
+def _name_of(table: dict, value, kind: str, path: str) -> str:
+    """The name value is registered under in table; the reverse of _lookup."""
+    for name, candidate in table.items():
+        if candidate == value:
             return name
-    raise DocumentError(context, f"algebra {algebra.name!r} is not registered")
-
-
-def _module_name(ws: Workspace, xmod: CrossedModule, context: str) -> str:
-    for name, candidate in ws.crossed_modules.items():
-        if candidate == xmod:
-            return name
-    raise DocumentError(context, f"crossed module {xmod.name!r} is not registered")
+    raise DocumentError(path, f"{kind} {value.name!r} is not registered")
 
 
 def serialize_workspace(ws: Workspace) -> str:
@@ -354,8 +342,10 @@ def serialize_workspace(ws: Workspace) -> str:
         section = {}
         for name, xm in ws.crossed_modules.items():
             entry = {
-                "m": _algebra_name(ws, xm.m_algebra, f"crossed_modules.{name}"),
-                "p": _algebra_name(ws, xm.p_algebra, f"crossed_modules.{name}"),
+                "m": _name_of(ws.algebras, xm.m_algebra, "algebra",
+                              f"crossed_modules.{name}"),
+                "p": _name_of(ws.algebras, xm.p_algebra, "algebra",
+                              f"crossed_modules.{name}"),
                 "boundary": _matrix_doc(xm.boundary),
             }
             action = _sparse_doc(xm.action.tensor, False)
@@ -365,8 +355,10 @@ def serialize_workspace(ws: Workspace) -> str:
         doc["crossed_modules"] = section
     if ws.morphisms:
         doc["morphisms"] = {
-            name: {"source": _module_name(ws, f.source, f"morphisms.{name}"),
-                   "target": _module_name(ws, f.target, f"morphisms.{name}"),
+            name: {"source": _name_of(ws.crossed_modules, f.source,
+                                      "crossed module", f"morphisms.{name}"),
+                   "target": _name_of(ws.crossed_modules, f.target,
+                                      "crossed module", f"morphisms.{name}"),
                    "f1": _matrix_doc(f.f1),
                    "f0": _matrix_doc(f.f0)}
             for name, f in ws.morphisms.items()}

@@ -210,25 +210,14 @@ def _lie_morphism_scan(dom: LieAlgebra,
     return found, tuple([rows_of(index) for index in found])
 
 
-def _action_matrices(action: LieAction) -> list[Rows]:
-    """mats[i][r][b] = r-th coordinate of e_i . e_b, as plain residues."""
-    t = action.tensor
-    m = action.acted.dim
-    lift = action.field._lift
-    return [tuple(tuple(lift(t[i][b][r]) for b in range(m)) for r in range(m))
-            for i in range(action.actor.dim)]
-
-
-def _acting_matrix(coords, mats, dim: int, p: int) -> Rows:
-    """The matrix of v = sum_a coords[a] e_a acting on the dim-dimensional
-    module: sum_a coords[a] * mats[a]."""
+def _acting_matrix(action: LieAction, coords) -> Rows:
+    """The residue matrix of v = sum_a coords[a] e_a acting on the acted
+    module: entry (r, b) is the r-th coordinate of v . e_b."""
+    dim = action.acted.dim
     acc = [[0] * dim for _ in range(dim)]
-    for c, mat in zip(coords, mats):
-        if not c:
-            continue
-        for acc_row, row in zip(acc, mat):
-            for b, v in enumerate(row):
-                acc_row[b] += c * v
+    for a, b, r, c in action._terms:
+        acc[r][b] += coords[a] * c
+    p = action.field.p
     return tuple(tuple(v % p for v in row) for row in acc)
 
 
@@ -275,10 +264,9 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     # rho'(f0 e_i), the action of column i of f0 on M', only for the f0 in a
     # bucket.  Each distinct action matrix gets an id, and each distinct
     # rho' (a tuple of action ids) gets an id of its own.
-    act_dst = _action_matrices(target.action)
     acting_ids: dict[Rows, int] = {}
     acting = _Memo(lambda col: acting_ids.setdefault(
-        _acting_matrix(col, act_dst, dm2, p), len(acting_ids))).__getitem__
+        _acting_matrix(target.action, col), len(acting_ids))).__getitem__
     rho_ids: dict[tuple[int, ...], int] = {}
     rho_of = [0] * len(f0s)
     for bucket in buckets.values():
@@ -292,8 +280,9 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     # side column by column.  Each (i, action id) verdict is shared by every
     # f0 of the bucket that needs it.
     equivariance = _weights(dm2, dm, p)
-    lhs_side = [_row_shares(mat, dm, equivariance, p)
-                for mat in _action_matrices(source.action)]
+    basis = [tuple(int(a == i) for a in range(dp)) for i in range(dp)]
+    lhs_side = [_row_shares(_acting_matrix(source.action, e), dm, equivariance, p)
+                for e in basis]
     rhs_side = [_column_shares(mat, equivariance, dm, p) for mat in acting_ids]
     accepted1: list[int] = []
     accepted0: list[int] = []
@@ -342,8 +331,7 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
 
     dom_br = _flat_structure(f.source.p_algebra)
     cod_br = _flat_structure(f.target.m_algebra)
-    mats = _action_matrices(f.target.action)
-    rho = [_acting_matrix(col, mats, rows, p)
+    rho = [_acting_matrix(f.target.action, col)
            for col in _transpose(f.f0._raw_rows, cols)]
     act_flat = tuple(rho[i][r][b]
                      for i in range(cols) for b in range(rows) for r in range(rows))
@@ -394,19 +382,22 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
                               ["endpoints", "identity", "inverse", "associativity"])
 
     # Arrow endpoints: anchored at objects[src], shifting onto objects[dst].
-    # An arrow with an endpoint that names no object is kept out of the laws.
+    # An arrow with an endpoint that names no object, or whose d is no
+    # dim M' x dim P map over the field, is kept out of the laws.
     objs = range(len(objects))
+    shape = (target.m_algebra.dim, source.p_algebra.dim)
     kept = []
     for t, a in enumerate(arrows):
-        f = a.derivation.source_morphism
+        f, d = a.derivation.source_morphism, a.derivation.d
         for end, i, got in (("anchor", a.src, f),
-                            ("target", a.dst, shift_morphism(f, a.derivation.d))):
+                            ("target", a.dst, shift_morphism(f, d))):
             if i not in objs:
                 report.fail("endpoints", (t + 1,), f"arrow {end}",
                             f"objects[{i}], out of range")
             elif got != objects[i]:
                 report.fail("endpoints", (t + 1,), f"arrow {end}", f"objects[{i}]")
-        if a.src in objs and a.dst in objs:
+        fits = (d.rows, d.cols) == shape and same_field(d.field, source.field)
+        if a.src in objs and a.dst in objs and fits:
             kept.append(t)
 
     by_key = {(arrows[t].src, arrows[t].derivation.d._raw_rows): t for t in kept}
@@ -429,8 +420,7 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
             row.append(t12)
 
     # Identities are zero-derivation loops; inverses compose to them.
-    zero = LinearMap.zero(source.field, target.m_algebra.dim,
-                          source.p_algebra.dim)._raw_rows
+    zero = LinearMap.zero(source.field, *shape)._raw_rows
     ident = [by_key.get((i, zero)) for i in range(len(objects))]
     for i, e in enumerate(ident):
         if e is None or arrows[e].dst != i:

@@ -19,7 +19,6 @@ from .errors import (
     FieldMismatchError,
     InvalidDerivationError,
     InvariantError,
-    ShapeMismatchError,
 )
 from .fields import same_field
 from .linalg import LinearMap
@@ -30,10 +29,8 @@ from .validation import ValidationReport
 def _check_shape(d: LinearMap, f: CrossedMorphism):
     if not same_field(d.field, f.source.field):
         raise FieldMismatchError("derivation map over a different field")
-    want = (f.target.m_algebra.dim, f.source.p_algebra.dim)
-    if (d.rows, d.cols) != want:
-        raise ShapeMismatchError(
-            f"derivation map is {d.rows}x{d.cols}, expected {want[0]}x{want[1]}")
+    d._require_shape(f.target.m_algebra.dim, f.source.p_algebra.dim,
+                     "derivation map")
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,12 @@ class LinearMap:
         return cls(field, rows, cols, tuple(tuple(z for _ in range(cols))
                                             for _ in range(rows)))
 
+    def _require_shape(self, rows: int, cols: int, what: str):
+        """ShapeMismatchError, naming the map as what, unless it is rows x cols."""
+        if (self.rows, self.cols) != (rows, cols):
+            raise ShapeMismatchError(
+                f"{what} is {self.rows}x{self.cols}, expected {rows}x{cols}")
+
     @cached_property
     def _raw_rows(self) -> tuple[tuple, ...]:
         """The entries as the field's lifted numbers, built on first use.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import CrossedModule, LieAlgebra, _lie_morphism_sides
-from .errors import EndpointMismatchError, FieldMismatchError, ShapeMismatchError
+from .errors import EndpointMismatchError, FieldMismatchError
 from .fields import same_field
 from .linalg import LinearMap
 from .validation import ValidationReport
@@ -32,16 +32,10 @@ class CrossedMorphism:
             raise FieldMismatchError("source and target over different fields")
         if not (same_field(self.f1.field, field) and same_field(self.f0.field, field)):
             raise FieldMismatchError("component map over a different field")
-        want_f1 = (self.target.m_algebra.dim, self.source.m_algebra.dim)
-        if (self.f1.rows, self.f1.cols) != want_f1:
-            raise ShapeMismatchError(
-                f"f1 is {self.f1.rows}x{self.f1.cols}, expected "
-                f"{want_f1[0]}x{want_f1[1]}")
-        want_f0 = (self.target.p_algebra.dim, self.source.p_algebra.dim)
-        if (self.f0.rows, self.f0.cols) != want_f0:
-            raise ShapeMismatchError(
-                f"f0 is {self.f0.rows}x{self.f0.cols}, expected "
-                f"{want_f0[0]}x{want_f0[1]}")
+        self.f1._require_shape(self.target.m_algebra.dim,
+                               self.source.m_algebra.dim, "f1")
+        self.f0._require_shape(self.target.p_algebra.dim,
+                               self.source.p_algebra.dim, "f0")
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target
@@ -54,9 +48,7 @@ class CrossedMorphism:
 def is_lie_morphism(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra,
                     subject: str = "map") -> ValidationReport:
     """Check f[e_i, e_j] = [f e_i, f e_j] on all basis pairs."""
-    if (f.rows, f.cols) != (cod.dim, dom.dim):
-        raise ShapeMismatchError(
-            f"map is {f.rows}x{f.cols}, expected {cod.dim}x{dom.dim}")
+    f._require_shape(cod.dim, dom.dim, "map")
     if not (same_field(f.field, dom.field) and same_field(dom.field, cod.field)):
         raise FieldMismatchError("map and algebras over different fields")
     report = ValidationReport(subject)

@@ -205,6 +205,23 @@ class TestUsageErrors:
         assert code == 2
         assert "unknown" in text
 
+    def test_list_reference_exits_two_with_its_path(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text(X_AFF_DOC.replace("p: affine2", "p: [affine2]"))
+        code, text = run(["validate", str(path)])
+        assert code == 2
+        assert text == ("error: crossed_modules.X_aff.p: unknown algebra "
+                        "['affine2']\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_unwritable_emit_exits_two(self, ws_path, tmp_path, fmt):
+        emit = tmp_path / "missing" / "groupoid.json"
+        code, text = run(["groupoid", ws_path, "--hom", "X_aff", "X_aff",
+                          "--emit", str(emit), "--format", fmt])
+        assert code == 2
+        assert text.startswith(f"error: cannot write {emit}: ")
+        assert text.count("\n") == 1
+
     def test_rational_enumeration_rejected(self, tmp_path):
         path = tmp_path / "rat.yaml"
         path.write_text(RATIONAL_DOC)

@@ -123,6 +123,24 @@ class TestParseErrors:
         doc = X_AFF_DOC.replace('f1: [["1"]]', 'f1: [["4"]]')
         self.check(doc, "f1")
 
+    @pytest.mark.parametrize("line, path, kind", [
+        ("m: span_e2", "crossed_modules.X_aff.m", "algebra"),
+        ("p: affine2", "crossed_modules.X_aff.p", "algebra"),
+        ("source: X_aff", "morphisms.ident.source", "crossed module"),
+        ("target: X_aff", "morphisms.ident.target", "crossed module"),
+        ("base: ident", "derivations.shear.base", "morphism"),
+    ], ids=["m", "p", "source", "target", "base"])
+    @pytest.mark.parametrize("text, name", [
+        ("missing", "missing"), ("[span_e2]", ["span_e2"]), ("{x: 1}", {"x": 1})],
+        ids=["missing", "list", "mapping"])
+    def test_every_reference_names_its_path(self, line, path, kind, text, name):
+        # A list or mapping is no name, so it is unknown like a missing one.
+        key = line.split(":")[0]
+        with pytest.raises(DocumentError) as err:
+            parse_workspace(X_AFF_DOC.replace(line, f"{key}: {text}"))
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: unknown {kind} {name!r}"
+
 
 class TestRoundTrip:
     def test_serialize_reparses_bit_exactly(self):
@@ -168,3 +186,17 @@ class TestWorkspaceLookups:
             ws.require_morphism("missing")
         with pytest.raises(DocumentError, match="unknown"):
             ws.require_derivation("missing")
+
+    @pytest.mark.parametrize("method, path, kind", [
+        ("require_module", "crossed_modules", "crossed module"),
+        ("require_morphism", "morphisms", "morphism"),
+        ("require_derivation", "derivations", "derivation"),
+    ], ids=["module", "morphism", "derivation"])
+    @pytest.mark.parametrize("name", ["missing", ["X_aff"], {"x": 1}],
+                             ids=["missing", "list", "mapping"])
+    def test_require_names_its_section(self, method, path, kind, name):
+        ws = parse_workspace(X_AFF_DOC)
+        with pytest.raises(DocumentError) as err:
+            getattr(ws, method)(name)
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: unknown {kind} {name!r}"

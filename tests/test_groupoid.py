@@ -25,6 +25,7 @@ from liecross import (
     shift_morphism,
     validate_groupoid,
 )
+from liecross.errors import BudgetExceededError
 
 QQ = FieldSpec.rational()
 
@@ -247,6 +248,24 @@ class TestValidation:
         assert [(f.check, f.lhs) for f in report.failures if f.check != "endpoints"] \
             == [(f.check, f.lhs) for f in dropped.failures]
 
+    @pytest.mark.parametrize("module, p", [("x_aff", 3), ("x_triv", 5)])
+    def test_foreign_derivation_fails_endpoints_only(self, module, p):
+        # A d of another shape (X_aff) or field (GF(5)) fails both endpoints,
+        # without an exception, and is left out of the laws.
+        g = build_hom_groupoid(battery.x_triv(GF3), battery.x_triv(GF3))
+        xmod = getattr(battery, module)(FieldSpec.prime(p))
+        foreign = build_hom_groupoid(xmod, xmod).arrows[0].derivation
+        first = g.arrows[0]
+        report = validate_groupoid(HomGroupoid(
+            g.source_module, g.target_module, g.objects,
+            (Arrow(first.src, first.dst, foreign),) + g.arrows[1:]))
+        assert [(f.indices, f.lhs) for f in report.failures_for("endpoints")] \
+            == [((1,), "arrow anchor"), ((1,), "arrow target")]
+        dropped = validate_groupoid(HomGroupoid(
+            g.source_module, g.target_module, g.objects, g.arrows[1:]))
+        assert [(f.check, f.lhs) for f in report.failures if f.check != "endpoints"] \
+            == [(f.check, f.lhs) for f in dropped.failures]
+
     def test_missing_inverse_detected(self, triv_groupoid):
         # Dropping one non-identity arrow leaves its partner inverse-less.
         arrows = list(triv_groupoid.arrows)
@@ -304,8 +323,8 @@ class TestCompositionTable:
 
 
 class TestGeneratedGroupoids:
-    """Metamorphic checks on generated hom-groupoids over GF(2) and GF(3):
-    battery modules in random bases, dim-0 components and the abelian
+    """Metamorphic checks on generated hom-groupoids over GF(2), GF(3) and
+    GF(5): battery modules in random bases, dim-0 components and the abelian
     zero-boundary modules."""
 
     @staticmethod
@@ -322,7 +341,7 @@ class TestGeneratedGroupoids:
         dm2, dp2 = b.m_algebra.dim, b.p_algebra.dim
         return p ** (dm2 * dm + dp2 * dp) <= 1024 and p ** (dm2 * dp) <= 27
 
-    @pytest.mark.parametrize("p, seed", [(2, 31), (3, 32)])
+    @pytest.mark.parametrize("p, seed", [(2, 31), (3, 32), (5, 33)])
     def test_arrows_count_by_class_and_vertex_group(self, p, seed):
         # #arrows = sum over classes C of |C|^2 |pi1(C)|, pi1(C) the loops
         # at C's first member, counted from the arrow list alone.
@@ -338,7 +357,7 @@ class TestGeneratedGroupoids:
             nontrivial += any(loops_at(g, c[0]) > 1 for c in classes)
         assert nontrivial
 
-    @pytest.mark.parametrize("p, seed", [(2, 41), (3, 42)])
+    @pytest.mark.parametrize("p, seed", [(2, 41), (3, 42), (5, 43)])
     def test_change_of_basis_preserves_shape(self, p, seed):
         pool = self.pool(p, seed)
         moved = [battery.change_basis(x, seed * 100 + 50 + k)
@@ -352,6 +371,28 @@ class TestGeneratedGroupoids:
                     (a.name, b.name)
                 assert shape(build_hom_groupoid(a, b_moved)) == expected, \
                     (a.name, b.name)
+                assert shape(build_hom_groupoid(a_moved, b_moved)) == expected, \
+                    (a.name, b.name)
+
+    @pytest.mark.parametrize("p, seed", [(2, 61), (3, 62), (5, 63)])
+    def test_budget_is_exact_at_the_largest_scan(self, p, seed):
+        # budget = the largest scan space builds the whole groupoid; one less
+        # stops at the first scan of that size, in the order they run.
+        pool = self.pool(p, seed)
+        for a, b in [(a, b) for a in pool for b in pool if self.small(a, b)]:
+            dm, dp = a.m_algebra.dim, a.p_algebra.dim
+            dm2, dp2 = b.m_algebra.dim, b.p_algebra.dim
+            scans = [("f1 component scan", p ** (dm2 * dm)),
+                     ("f0 component scan", p ** (dp2 * dp)),
+                     ("derivation scan", p ** (dm2 * dp))]
+            budget = max(space for _, space in scans)
+            what = next(name for name, space in scans if space == budget)
+            assert shape(build_hom_groupoid(a, b, budget=budget)) \
+                == shape(build_hom_groupoid(a, b)), (a.name, b.name)
+            with pytest.raises(BudgetExceededError) as err:
+                build_hom_groupoid(a, b, budget=budget - 1)
+            assert str(err.value) \
+                == f"{what} has size {budget}, exceeding budget {budget - 1}"
 
 
 class TestHomotopyClasses:

@@ -2,15 +2,19 @@
 
 Each input below skips validation and breaks one invariant that enumeration
 and the homotopy calculus rely on.  The checks must raise InvariantError with
-a failing report, not AssertionError, so they survive `-O`.
+a failing report, not AssertionError, so they survive `-O`.  The same holds
+for the two crossed-module constructors that validate what they build; a
+patched helper makes each of them build a module that breaks an axiom.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import battery
+from liecross import algebras
 from liecross import (
     Arrow,
     CrossedModule,
@@ -20,11 +24,13 @@ from liecross import (
     LieAction,
     LieAlgebra,
     LinearMap,
+    abelian_zero_crossed_module,
     build_hom_groupoid,
     homotopy_classes,
     homotopy_target,
     identity_homotopy,
     identity_morphism,
+    inclusion_crossed_module,
 )
 from liecross.errors import LiecrossError
 
@@ -61,8 +67,30 @@ def classes_of_asymmetric_groupoid():
     homotopy_classes(HomGroupoid(xtriv, xtriv, objects, (arrow,)))
 
 
+def inclusion_with_doubled_coordinates():
+    # Twice the true ideal coordinates: [e1, e2] = e2 in affine2 becomes
+    # e1 . v = 2v, which the inclusion boundary does not intertwine (cm1).
+    solver = algebras.span_solver
+
+    def doubled(vectors, field, dim):
+        solve = solver(vectors, field, dim)
+        return lambda w: None if (c := solve(w)) is None else c + c
+
+    aff = battery.affine2(GF3)
+    with mock.patch.object(algebras, "span_solver", doubled):
+        inclusion_crossed_module(aff, [aff.basis(1)])
+
+
+def abelian_zero_over_nonabelian_module():
+    # affine2 acting on itself with zero boundary breaks cm2, 0 = [m, m'].
+    aff = battery.affine2(GF3)
+    with mock.patch.object(LieAlgebra, "is_abelian", lambda self: True):
+        abelian_zero_crossed_module(aff, LieAction.adjoint(aff))
+
+
 BREACHES = (shift_of_non_morphism, groupoid_of_invalid_module,
-            classes_of_asymmetric_groupoid)
+            classes_of_asymmetric_groupoid, inclusion_with_doubled_coordinates,
+            abelian_zero_over_nonabelian_module)
 
 EXPECTED = [f"{check.__name__}: InvariantError, report ok=False"
             for check in BREACHES]
