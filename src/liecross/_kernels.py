@@ -2,18 +2,16 @@
 
 A candidate index names a rows x cols matrix over GF(p): entries are base-p
 digits of the index in row-major order, first entry most significant.  Each
-scan walks a contiguous index range in odometer order and returns the indices
-whose matrix passes the kernel's condition, in ascending order.
+scan returns the indices in a contiguous range whose matrix passes the
+kernel's condition, in ascending order.
 
-The walk prunes by prefix.  Every (i, j, r) constraint of the law is linear
-or bilinear in the digits, so its value is fixed once the digits up to its
-highest position h are.  Constraints are tested in ascending order of h;
-when one fails, no candidate sharing digits 0..h can pass, and the walk jumps
-to the next value of that prefix instead of stepping through the whole block.
-After a step or a jump that changed digits from position t on, only the
-constraints with h >= t are tested again: the others passed and their digits
-did not move.  The survivors are exactly those of a candidate-by-candidate
-walk over the same range.
+The scan is a depth-first walk over digit positions.  Every (i, j, r)
+constraint of the law is linear or bilinear in the digits, so its value is
+fixed once the digits up to its highest position are; it is filed under that
+position.  The walk sets digit t to 0..p-1, tests only the constraints filed
+at t and goes one digit deeper only when they all hold, so no failing prefix
+is extended.  Leaves arrive in ascending index order and are kept when their
+index lies in the range: the survivors of a candidate-by-candidate walk.
 
 All tensor arguments are flat tuples of residues: bracket tensors are indexed
 by (i*dim + j)*dim + k, the action table by (i*rows + b)*rows + r where
@@ -22,8 +20,6 @@ b-th codomain basis vector.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 # Reported as liecross.KERNEL_BACKEND: the kernels are plain Python.
 BACKEND = "pure"
@@ -38,18 +34,19 @@ def decode(index: int, p: int, n: int) -> list[int]:
 
 
 def _constraints(p, dom_br, act, cod_br, rows, cols):
-    """The law as (h, linear terms, bilinear terms), sorted by h.
+    """The law as (linear terms, bilinear terms), filed by highest position.
 
     Constraint (i, j, r) for i < j is the r-th coordinate of
 
         D[e_i, e_j] - f0(e_i).D(e_j) + f0(e_j).D(e_i) - [D(e_i), D(e_j)]
 
     written over digit positions: linear terms (t, c) and bilinear terms
-    (s, t, c), coefficients reduced mod p and zero terms dropped.  h is the
-    highest position involved.  A constraint with no terms always holds and
-    is left out.  act=None stands for the zero action.
+    (s, t, c), coefficients reduced mod p and zero terms dropped.  Entry h
+    of the result lists the constraints whose highest position is h.  A
+    constraint with no terms always holds and is left out.  act=None stands
+    for the zero action.
     """
-    out = []
+    at = [[] for _ in range(rows * cols)]
     for i in range(cols):
         for j in range(i + 1, cols):
             for r in range(rows):
@@ -73,51 +70,35 @@ def _constraints(p, dom_br, act, cod_br, rows, cols):
                 if lin_terms or bil_terms:
                     h = max([t for t, _ in lin_terms]
                             + [max(s, t) for s, t, _ in bil_terms])
-                    out.append((h, lin_terms, bil_terms))
-    out.sort(key=lambda con: con[0])
-    return out
+                    at[h].append((lin_terms, bil_terms))
+    return at
 
 
-def _pruned_scan(p, constraints, n, start, stop):
-    """Survivors in [start, stop) of the sorted constraints, by prefix jumps."""
-    # first[t]: index of the first constraint whose highest position is >= t.
-    highest = [con[0] for con in constraints]
-    first = [bisect_left(highest, t) for t in range(n + 1)]
-    # block[t]: candidates sharing digits 0..t.
-    block = [p ** (n - 1 - t) for t in range(n)]
+def _walk(p, at, start, stop):
+    """Survivors in [start, stop) of the filed constraints, depth first."""
+    n = len(at)
+    digits = [0] * n
     out = []
-    digits = decode(start, p, n)
-    idx = start
-    changed = 0
-    while idx < stop:
-        h = n - 1
-        for con_h, lin, bil in constraints[first[changed]:]:
-            value = 0
-            for t, c in lin:
-                value += digits[t] * c
-            for s, t, c in bil:
-                value += digits[s] * digits[t] * c
-            if value % p:
-                h = con_h
-                break
-        else:
-            out.append(idx)
-        if n == 0:
-            break
-        # Next candidate with a new digit at position h: zero the digits
-        # after it and carry into it.
-        idx += block[h] - idx % block[h]
-        for t in range(h + 1, n):
-            digits[t] = 0
-        t = h
-        while t >= 0:
-            digits[t] += 1
-            if digits[t] == p:
-                digits[t] = 0
-                t -= 1
+
+    def visit(t, index):
+        if t == n:
+            if start <= index < stop:
+                out.append(index)
+            return
+        for v in range(p):
+            digits[t] = v
+            for lin, bil in at[t]:
+                value = 0
+                for s, c in lin:
+                    value += digits[s] * c
+                for s, u, c in bil:
+                    value += digits[s] * digits[u] * c
+                if value % p:
+                    break
             else:
-                break
-        changed = max(t, 0)
+                visit(t + 1, index * p + v)
+
+    visit(0, 0)
     return out
 
 
@@ -128,8 +109,8 @@ def scan_lie_morphisms(p, dom_br, cod_br, rows, cols, start, stop):
     bracket tensors make the i > j and i = j cases redundant, so only i < j
     pairs are tested.
     """
-    return _pruned_scan(p, _constraints(p, dom_br, None, cod_br, rows, cols),
-                        rows * cols, start, stop)
+    return _walk(p, _constraints(p, dom_br, None, cod_br, rows, cols),
+                 start, stop)
 
 
 def scan_derivations(p, dom_br, act, cod_br, rows, cols, start, stop):
@@ -140,5 +121,5 @@ def scan_derivations(p, dom_br, act, cod_br, rows, cols, start, stop):
     with the action of f0 precomputed into act.  Both sides are antisymmetric
     in (i, j) and vanish at i = j, so i < j pairs suffice.
     """
-    return _pruned_scan(p, _constraints(p, dom_br, act, cod_br, rows, cols),
-                        rows * cols, start, stop)
+    return _walk(p, _constraints(p, dom_br, act, cod_br, rows, cols),
+                 start, stop)

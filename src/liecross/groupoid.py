@@ -473,19 +473,29 @@ def homotopy_classes(groupoid: HomGroupoid) -> list[list[int]]:
     reachability agree because every arrow has an inverse.  The symmetry is
     checked rather than re-proved: an arrow i -> j without some arrow
     j -> i raises InvariantError, whose report names the first such pair.
+    Before that, an arrow whose src or dst names no object raises
+    InvariantError with an endpoints report, as validate_groupoid words it.
     """
+    objs = range(len(groupoid.objects))
+    report = ValidationReport(str(groupoid))
+    for t, a in enumerate(groupoid.arrows):
+        for end, i in (("anchor", a.src), ("target", a.dst)):
+            if i not in objs:
+                report.fail("endpoints", (t + 1,), f"arrow {end}",
+                            f"objects[{i}], out of range")
+    if not report.ok:
+        raise InvariantError("an arrow endpoint names no object", report)
     edges = {(a.src, a.dst) for a in groupoid.arrows}
     one_way = min(((i, j) for i, j in edges if (j, i) not in edges), default=None)
     if one_way is not None:
         i, j = one_way
-        report = ValidationReport(str(groupoid))
         report.fail("inverse", (i + 1, j + 1), f"arrow {i} -> {j}",
                     f"no arrow {j} -> {i}")
         raise InvariantError("arrow set is not symmetric", report)
-    uf = _UnionFind(len(groupoid.objects))
+    uf = _UnionFind(len(objs))
     for i, j in edges:
         uf.union(i, j)
     components: dict[int, list[int]] = {}
-    for i in range(len(groupoid.objects)):
+    for i in objs:
         components.setdefault(uf.find(i), []).append(i)
     return [sorted(members) for _, members in sorted(components.items())]

@@ -5,6 +5,7 @@ import random
 from collections.abc import Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import battery
 from battery import lines_module
@@ -393,3 +394,74 @@ class TestKernelBackends:
         for lo, hi in ((0, 17), (17, 50), (50, total)):
             split.extend(_kernels.scan_lie_morphisms(3, br, br, 2, 2, lo, hi))
         assert split == whole
+
+
+@st.composite
+def scan_inputs(draw):
+    """(p, rows, cols, dom_br, act, cod_br, start, stop) with at most 1024
+    candidates: arbitrary residue tables, neither antisymmetric nor from an
+    action, act=None included, and any range 0 <= start <= stop <= p^n."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    most = {2: 10, 3: 6, 5: 4}[p]  # digit positions with p^n <= 1024
+    cols = draw(st.integers(0, min(8, most)))
+    rows = draw(st.integers(0, 8 if cols == 0 else min(8, most // cols)))
+    if p == 2:
+        rows, cols = draw(st.sampled_from([(rows, cols), (1, 8), (8, 1)]))
+
+    # Zero-heavy entries leave more survivors than uniform ones.
+    entries = st.integers(0, p - 1) | st.just(0)
+
+    def table(n):
+        return tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+    dom_br, cod_br = table(cols ** 3), table(rows ** 3)
+    act = None if draw(st.booleans()) else table(cols * rows * rows)
+    total = p ** (rows * cols)
+    cut = st.lists(st.integers(0, total), min_size=2, max_size=2).map(sorted)
+    start, stop = draw(st.just([0, total]) | cut)
+    return p, rows, cols, dom_br, act, cod_br, start, stop
+
+
+def law_holds(p, rows, cols, dom_br, act, cod_br, index):
+    """The scan_derivations law at one candidate, straight from its formula:
+    D[e_i, e_j] = f0(e_i).D(e_j) - f0(e_j).D(e_i) + [D(e_i), D(e_j)] for all
+    i < j, coordinate r; act=None is the zero action."""
+    digits = []
+    for _ in range(rows * cols):
+        index, digit = divmod(index, p)
+        digits.append(digit)
+    digits.reverse()
+
+    def d(r, c):
+        return digits[r * cols + c]
+
+    def acts(i, j, r):  # r-th coordinate of f0(e_i) . D(e_j)
+        if act is None:
+            return 0
+        return sum(act[(i * rows + b) * rows + r] * d(b, j) for b in range(rows))
+
+    for i in range(cols):
+        for j in range(i + 1, cols):
+            for r in range(rows):
+                lhs = sum(dom_br[(i * cols + j) * cols + k] * d(r, k)
+                          for k in range(cols))
+                rhs = (acts(i, j, r) - acts(j, i, r)
+                       + sum(d(a, i) * d(b, j) * cod_br[(a * rows + b) * rows + r]
+                             for a in range(rows) for b in range(rows)))
+                if (lhs - rhs) % p:
+                    return False
+    return True
+
+
+class TestScanProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(scan_inputs())
+    def test_scans_match_candidate_by_candidate_law(self, inputs):
+        p, rows, cols, dom_br, act, cod_br, start, stop = inputs
+        expected = [k for k in range(start, stop)
+                    if law_holds(p, rows, cols, dom_br, act, cod_br, k)]
+        assert _kernels.scan_derivations(p, dom_br, act, cod_br, rows, cols,
+                                         start, stop) == expected
+        lie = [k for k in range(start, stop)
+               if law_holds(p, rows, cols, dom_br, None, cod_br, k)]
+        assert _kernels.scan_lie_morphisms(p, dom_br, cod_br, rows, cols,
+                                           start, stop) == lie

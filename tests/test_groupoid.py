@@ -25,7 +25,7 @@ from liecross import (
     shift_morphism,
     validate_groupoid,
 )
-from liecross.errors import BudgetExceededError
+from liecross.errors import BudgetExceededError, InvariantError
 
 QQ = FieldSpec.rational()
 
@@ -430,6 +430,28 @@ class TestHomotopyClasses:
         assert all(a.src == a.dst for a in g.arrows)
         assert validate_groupoid(g).ok
         assert homotopy_classes(g) == [[i] for i in range(len(g.objects))]
+
+    @pytest.mark.parametrize("module, stray", [("x_triv", 7), ("x_aff", -1)])
+    def test_arrow_naming_no_object_raises(self, module, stray):
+        # Arrows 0 -> stray and stray -> 0 are symmetric, but name no object:
+        # they are reported under endpoints, worded as validate_groupoid
+        # words them, instead of raising IndexError (7) or reading -1 as the
+        # last object.
+        xmod = getattr(battery, module)(GF3)
+        g = build_hom_groupoid(xmod, xmod)
+        d = g.arrows[0].derivation
+        stray_arrows = (Arrow(0, stray, d), Arrow(stray, 0, d))
+        broken = HomGroupoid(g.source_module, g.target_module, g.objects,
+                             g.arrows + stray_arrows)
+        with pytest.raises(InvariantError) as raised:
+            homotopy_classes(broken)
+        n = len(g.arrows)
+        failures = raised.value.report.failures
+        assert [(f.check, f.indices, f.lhs, f.rhs) for f in failures] == [
+            ("endpoints", (n + 1,), "arrow target", f"objects[{stray}], out of range"),
+            ("endpoints", (n + 2,), "arrow anchor", f"objects[{stray}], out of range")]
+        assert failures == [f for f in validate_groupoid(broken).failures
+                            if f.rhs.endswith("out of range")]
 
     def test_arrow_counts_symmetric_between_objects(self, aff_groupoid):
         counts = {}
