@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .algebras import (
@@ -31,12 +32,14 @@ from .errors import (
 from .documents import Workspace, _matrix_doc, parse_workspace
 from .groupoid import (
     DEFAULT_BUDGET,
+    HomGroupoid,
     build_hom_groupoid,
     enumerate_derivations,
     enumerate_morphisms,
     homotopy_classes,
 )
 from .homotopy import homotopy_target, is_f0_derivation, shift_morphism
+from .linalg import LinearMap
 from .morphisms import CrossedMorphism, validate_crossed_morphism
 from .validation import ValidationReport
 
@@ -123,18 +126,52 @@ def _cmd_enumerate_derivations(ws: Workspace, args, out) -> int:
     return 0
 
 
+def _per_matrix(encode: Callable[[LinearMap], str]) -> Callable[[LinearMap], str]:
+    """m -> encode(m), encoded once per distinct matrix."""
+    done: dict = {}
+
+    def encoded(m: LinearMap) -> str:
+        text = done.get(m._raw_rows)
+        if text is None:
+            text = done[m._raw_rows] = encode(m)
+        return text
+    return encoded
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded items as the JSON list json.dumps(indent=2) writes at indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _groupoid_document(groupoid: HomGroupoid, classes: list[list[int]]) -> str:
+    """json.dumps of {"objects", "arrows", "classes"} with indent=2.
+
+    json.dumps runs once per distinct matrix; its block, indented to the
+    depth of an entry's keys, is joined into every entry that has it.
+    """
+    block = _per_matrix(lambda m: json.dumps(
+        _matrix_doc(m), indent=2).replace("\n", "\n      "))
+    objects = [f'{{\n      "f1": {block(f.f1)},\n      "f0": {block(f.f0)}\n    }}'
+               for f in groupoid.objects]
+    arrows = [f'{{\n      "src": {a.src},\n      "dst": {a.dst},\n'
+              f'      "d": {block(a.derivation.d)}\n    }}'
+              for a in groupoid.arrows]
+    partition = json.dumps(classes, indent=2).replace("\n", "\n  ")
+    return (f'{{\n  "objects": {_json_list(objects, "  ")},\n'
+            f'  "arrows": {_json_list(arrows, "  ")},\n'
+            f'  "classes": {partition}\n}}')
+
+
 def _cmd_groupoid(ws: Workspace, args, out) -> int:
     source, target = map(ws.require_module, args.hom)
     groupoid = build_hom_groupoid(source, target,
                                   budget=args.budget, workers=args.workers)
     classes = homotopy_classes(groupoid)
     if args.format == "structured" or args.emit:  # both print one encoding
-        document = json.dumps({
-            "objects": [{"f1": _matrix_doc(f.f1), "f0": _matrix_doc(f.f0)}
-                        for f in groupoid.objects],
-            "arrows": [{"src": a.src, "dst": a.dst, "d": _matrix_doc(a.derivation.d)}
-                       for a in groupoid.arrows],
-            "classes": classes}, indent=2)
+        document = _groupoid_document(groupoid, classes)
         if args.emit:
             try:
                 Path(args.emit).write_text(document + "\n")
@@ -146,9 +183,10 @@ def _cmd_groupoid(ws: Workspace, args, out) -> int:
             return 0
     lines = [f"objects={len(groupoid.objects)} arrows={len(groupoid.arrows)} "
              f"classes={len(classes)} sizes={_sizes_text(classes)}"]
-    lines += [f"object {i}: f1={f.f1} f0={f.f0}"
+    shown = _per_matrix(str)
+    lines += [f"object {i}: f1={shown(f.f1)} f0={shown(f.f0)}"
               for i, f in enumerate(groupoid.objects)]
-    lines += [f"arrow {t}: {a.src} -> {a.dst} d={a.derivation.d}"
+    lines += [f"arrow {t}: {a.src} -> {a.dst} d={shown(a.derivation.d)}"
               for t, a in enumerate(groupoid.arrows)]
     if args.emit:
         lines.append(f"emitted {args.emit}")

@@ -11,8 +11,17 @@ full product scan.
 All kernel and join work happens on plain integer residues.  Both
 enumerations return a LazySequence of the accepted indices: exact Scalar
 objects, and the CrossedMorphism or Derivation around them, are built on
-access.  validate_groupoid checks closure and the groupoid laws on one
-composition table, adding the derivations of each composable pair once.
+access.
+
+build_hom_groupoid scans derivations once per homotopy class, at the class's
+first object f.  Arrows compose by adding derivations and f => g by d_g has
+the inverse -d_g at g, so the derivations at another member g are exactly
+d_h - d_g for d_h in Der(f), ending where d_h does: they are residue
+differences, with no further scan or shift.  That argument needs the
+crossed-module axioms, so both modules are validated before any arrow is
+derived.  validate_groupoid stays independent of it: it checks closure and
+the groupoid laws on one composition table, adding the derivations of each
+composable pair once.
 """
 
 from __future__ import annotations
@@ -24,7 +33,14 @@ from operator import getitem, mul
 
 from . import _kernels
 from ._kernels import decode
-from .algebras import CrossedModule, LieAction, LieAlgebra
+from .algebras import (
+    CrossedModule,
+    LieAction,
+    LieAlgebra,
+    validate_action,
+    validate_crossed_module,
+    validate_lie_algebra,
+)
 from .errors import (
     BudgetExceededError,
     FieldMismatchError,
@@ -342,21 +358,51 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
     return LazySequence(len(found), lambda k: Derivation(f, d_map(found[k])))
 
 
+def _module_report(source: CrossedModule, target: CrossedModule) -> ValidationReport:
+    """Every axiom of both modules in one report: the algebras, the action and
+    the crossed-module axioms, each module once."""
+    report = ValidationReport(f"HOM({source.name}, {target.name})")
+    for xmod in (source,) if target == source else (source, target):
+        report.merge(validate_lie_algebra(xmod.m_algebra))
+        report.merge(validate_lie_algebra(xmod.p_algebra))
+        report.merge(validate_action(xmod.action))
+        report.merge(validate_crossed_module(xmod))
+    return report
+
+
 def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
                        budget: int = DEFAULT_BUDGET,
                        workers: int = 1) -> HomGroupoid:
     """Objects, then all derivations at each object with resolved targets.
 
-    Every homotopy target is itself a morphism, so it was enumerated; when
-    one is missing (the modules break an axiom they were not validated
-    against) InvariantError carries the target's morphism report.  workers
-    has no effect.
+    Derivations are scanned once per homotopy class, at the first object f
+    not yet in a class, and each is shifted onto its target among the
+    objects.  A missing target (the modules break an axiom they were not
+    validated against) raises InvariantError with the target's morphism
+    report.  After the first class's scan, and before any arrow is derived,
+    both modules are validated: the four algebras, the actions and the
+    crossed-module axioms.  A failure raises InvariantError with the merged
+    report.  Every other member g of the class, reached from f by some d_g,
+    gets the derivations d_h - d_g for d_h in Der(f), each ending where d_h
+    does.  Each object's arrows are sorted by their rows, the odometer order
+    of a scan at that object.  workers has no effect.
     """
     objects = enumerate_morphisms(source, target, budget=budget)
     position = {(f.f1._raw_rows, f.f0._raw_rows): i
                 for i, f in enumerate(objects)}
-    arrows = []
+    field = source.field
+    p = field.p
+    shape = (target.m_algebra.dim, source.p_algebra.dim)
+    # Equal d rows share one LinearMap, whose rows come from one lowered-row cache.
+    lowered = _Memo(lambda row: tuple(map(field._lower, row)))
+    maps = _Memo(lambda d: LinearMap(field, *shape, tuple(map(lowered.__getitem__, d))))
+    minus = _Memo(lambda rs: tuple([(a - b) % p for a, b in zip(*rs)]))
+    # out_of[j] lists (d rows, target) of the arrows at object j.
+    out_of: list[list[tuple[Rows, int]] | None] = [None] * len(objects)
     for i, f in enumerate(objects):
+        if out_of[i] is not None:
+            continue
+        reach = []
         for der in enumerate_derivations(f, budget=budget):
             g = shift_morphism(f, der.d)
             j = position.get((g.f1._raw_rows, g.f0._raw_rows))
@@ -364,7 +410,20 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
                 raise InvariantError(
                     f"a homotopy target at object {i} is missing from the "
                     "object list", validate_crossed_morphism(g))
-            arrows.append(Arrow(i, j, der))
+            reach.append((der.d._raw_rows, j))
+        if i == 0:
+            report = _module_report(source, target)
+            if not report.ok:
+                raise InvariantError("a module of the hom-groupoid fails an axiom",
+                                     report)
+        anchors: dict[int, Rows] = {}
+        for d, j in reach:
+            anchors.setdefault(j, d)
+        for j, d_j in anchors.items():
+            out_of[j] = sorted((tuple(map(minus.__getitem__, zip(d, d_j))), h)
+                               for d, h in reach)
+    arrows = [Arrow(j, h, Derivation(g, maps[d]))
+              for j, g in enumerate(objects) for d, h in out_of[j]]
     return HomGroupoid(source, target, tuple(objects), tuple(arrows))
 
 

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, report lines, and deterministic output."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -7,6 +8,8 @@ import sys
 
 import pytest
 
+import battery
+from liecross import FieldSpec, Workspace, inclusion_crossed_module, serialize_workspace
 from liecross.cli import run_command
 
 X_AFF_DOC = """\
@@ -373,3 +376,37 @@ class TestDeterminism:
                for _ in range(2)]
         assert res[0].stdout == res[1].stdout
         assert res[0].stdout == b"objects=15 classes=3 sizes=[3,3,9]\n"
+
+
+class TestGroupoidBytes:
+    """groupoid stdout and --emit bytes, pinned by sha256 on a 243-object,
+    19,683-arrow groupoid: span(y, z) in h3 over GF(3) in a random basis.
+    The text digest is taken with the emit path written as EMIT."""
+
+    TEXT_STDOUT = "0a78ed67beea96ef9ebe7243d4f32926da47d57ee53ea0d07ce85eb1e99641c9"
+    DOCUMENT = "95926ba8624a2d9a98ded39afba0c038ae201620630987a4239b3e9ea95bfa03"
+
+    @pytest.fixture(scope="class")
+    def doc_path(self, tmp_path_factory):
+        gf3 = FieldSpec.prime(3)
+        h3 = battery.heisenberg3(gf3)
+        xmod = battery.change_basis(inclusion_crossed_module(
+            h3, [h3.basis(1), h3.basis(2)], name="h3_plane"), 5)
+        ws = Workspace(gf3)
+        ws.algebras["X_m"] = xmod.m_algebra
+        ws.algebras["X_p"] = xmod.p_algebra
+        ws.crossed_modules["X"] = xmod
+        path = tmp_path_factory.mktemp("pinned") / "h3_plane.yaml"
+        path.write_text(serialize_workspace(ws))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_stdout_and_emit_digests(self, doc_path, tmp_path, fmt):
+        emit = tmp_path / "groupoid.json"
+        code, text = run(["groupoid", doc_path, "--hom", "X", "X",
+                          "--emit", str(emit), "--format", fmt])
+        assert code == 0
+        stdout = text.replace(str(emit), "EMIT").encode()
+        expected = self.TEXT_STDOUT if fmt == "text" else self.DOCUMENT
+        assert hashlib.sha256(stdout).hexdigest() == expected
+        assert hashlib.sha256(emit.read_bytes()).hexdigest() == self.DOCUMENT

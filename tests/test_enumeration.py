@@ -367,9 +367,9 @@ class TestKernelBackends:
         total = p ** 9
         assert _kernels.scan_derivations(*args, 0, total) == expected
 
-        # Cut points inside the widest gaps between survivors, where the scan
-        # jumps over whole blocks of failing candidates: every range starting
-        # and stopping there, and the partition at all of them.
+        # Cut points inside the widest gaps between survivors, which the walk
+        # covers by cutting failing prefixes short: every range starting and
+        # stopping there, and the partition at all of them.
         bounds = [-1] + expected + [total]
         gaps = sorted(zip(bounds, bounds[1:]), key=lambda g: g[0] - g[1])[:4]
         cuts = sorted({a + (b - a) // 3 for a, b in gaps}

@@ -1,5 +1,6 @@
 """Groupoid construction, axiom validation, and homotopy classes."""
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 from liecross import (
     Arrow,
+    CrossedModule,
     Derivation,
     FieldSpec,
     HomGroupoid,
@@ -19,12 +21,16 @@ from liecross import (
     LinearMap,
     abelian_zero_crossed_module,
     build_hom_groupoid,
+    enumerate_derivations,
+    enumerate_morphisms,
     homotopy_classes,
     identity_morphism,
     inclusion_crossed_module,
     shift_morphism,
     validate_groupoid,
 )
+from liecross.cli import _groupoid_document
+from liecross.documents import _matrix_doc
 from liecross.errors import BudgetExceededError, InvariantError
 
 QQ = FieldSpec.rational()
@@ -125,6 +131,19 @@ def corrupt(groupoid, rng):
                        groupoid.objects, tuple(arrows))
 
 
+def per_object_groupoid(source, target):
+    """The hom-groupoid built object by object: every object's derivations,
+    each shifted onto its target with shift_morphism."""
+    objects = tuple(enumerate_morphisms(source, target))
+    position = {(f.f1, f.f0): i for i, f in enumerate(objects)}
+    arrows = []
+    for i, f in enumerate(objects):
+        for der in enumerate_derivations(f):
+            g = shift_morphism(f, der.d)
+            arrows.append(Arrow(i, position[g.f1, g.f0], der))
+    return HomGroupoid(source, target, objects, tuple(arrows))
+
+
 def loops_at(groupoid, i):
     """|pi1| at object i: the arrows from i to itself."""
     return sum(1 for a in groupoid.arrows if a.src == a.dst == i)
@@ -183,6 +202,18 @@ class TestConstruction:
         assert [(a.src, a.dst, flat(a.derivation.d)) for a in parallel.arrows] \
             == [(a.src, a.dst, flat(a.derivation.d))
                 for a in aff_groupoid.arrows]
+
+    def test_module_breaking_cm2_raises(self):
+        # Every homotopy target at object 0 is an object, so only the module
+        # validation stops the build; the report names cm2 and nothing else.
+        aff = battery.affine2(GF3)
+        bad = CrossedModule("adjoint_zero", aff, aff, LinearMap.zero(GF3, 2, 2),
+                            LieAction.adjoint(aff))
+        with pytest.raises(InvariantError) as raised:
+            build_hom_groupoid(bad, bad)
+        report = raised.value.report
+        assert {f.check for f in report.failures} == {"cm2"}
+        assert set(report.checks) >= {"jacobi", "action_leibniz", "cm1", "cm2"}
 
 
 class TestValidation:
@@ -393,6 +424,65 @@ class TestGeneratedGroupoids:
                 build_hom_groupoid(a, b, budget=budget - 1)
             assert str(err.value) \
                 == f"{what} has size {budget}, exceeding budget {budget - 1}"
+
+    @pytest.mark.parametrize("p, seed", [(2, 71), (3, 72), (5, 73)])
+    def test_matches_per_object_build(self, p, seed):
+        # One derivation scan per class gives the objects, arrows and classes
+        # of scanning at every object, in the same order, non-trivial pi1
+        # included.
+        pool = self.pool(p, seed)
+        pairs = [(a, b) for a in pool for b in pool if self.small(a, b)]
+        nontrivial = 0
+        for a, b in pairs:
+            g, reference = build_hom_groupoid(a, b), per_object_groupoid(a, b)
+            assert g.objects == reference.objects, (a.name, b.name)
+            assert [(t.src, t.dst, flat(t.derivation.d)) for t in g.arrows] \
+                == [(t.src, t.dst, flat(t.derivation.d)) for t in reference.arrows], \
+                (a.name, b.name)
+            assert all(t.derivation.source_morphism == g.objects[t.src]
+                       for t in g.arrows), (a.name, b.name)
+            classes = homotopy_classes(g)
+            assert classes == homotopy_classes(reference), (a.name, b.name)
+            nontrivial += any(loops_at(g, c[0]) > 1 for c in classes)
+        assert nontrivial
+
+    @pytest.mark.parametrize("p, seed", [(2, 81), (3, 82), (5, 83)])
+    def test_isomorphic_swap_preserves_shape(self, p, seed):
+        # HOM(a, a'), HOM(a', a) and HOM(a, a) agree for a copy a' of a in
+        # another basis.
+        pool = self.pool(p, seed)
+        moved = [battery.change_basis(x, seed * 100 + 50 + k)
+                 for k, x in enumerate(pool)]
+        for a, a_moved in zip(pool, moved):
+            if not self.small(a, a):
+                continue
+            expected = shape(build_hom_groupoid(a, a))
+            assert shape(build_hom_groupoid(a, a_moved)) == expected, a.name
+            assert shape(build_hom_groupoid(a_moved, a)) == expected, a.name
+
+    @pytest.mark.parametrize("p, seed", [(2, 91), (3, 92), (5, 93)])
+    def test_cli_document_matches_json_dumps(self, p, seed):
+        # The per-matrix encoding is json.dumps(indent=2) of the whole
+        # document, 0-row and 0-column d matrices included.
+        pool = self.pool(p, seed)
+        shapes = set()
+        for a, b in [(a, b) for a in pool for b in pool if self.small(a, b)]:
+            g = build_hom_groupoid(a, b)
+            classes = homotopy_classes(g)
+            document = {
+                "objects": [{"f1": _matrix_doc(f.f1), "f0": _matrix_doc(f.f0)}
+                            for f in g.objects],
+                "arrows": [{"src": t.src, "dst": t.dst, "d": _matrix_doc(t.derivation.d)}
+                           for t in g.arrows],
+                "classes": classes}
+            assert _groupoid_document(g, classes) == json.dumps(document, indent=2), \
+                (a.name, b.name)
+            shapes.add((b.m_algebra.dim, a.p_algebra.dim))
+        assert any(rows == 0 for rows, _ in shapes)
+        assert any(cols == 0 for _, cols in shapes)
+        empty = HomGroupoid(pool[0], pool[0], (), ())
+        assert _groupoid_document(empty, []) \
+            == json.dumps({"objects": [], "arrows": [], "classes": []}, indent=2)
 
 
 class TestHomotopyClasses:

@@ -57,6 +57,16 @@ def groupoid_of_invalid_module():
     build_hom_groupoid(bad, bad)
 
 
+def groupoid_of_module_breaking_cm2():
+    # affine2 acting on itself by the adjoint action with zero boundary
+    # breaks cm2, 0 = [m, m'], yet every homotopy target at object 0 is an
+    # object: only the up-front validation of both modules catches it.
+    aff = battery.affine2(GF3)
+    bad = CrossedModule("adjoint_zero", aff, aff, LinearMap.zero(GF3, 2, 2),
+                        LieAction.adjoint(aff))
+    build_hom_groupoid(bad, bad)
+
+
 def classes_of_asymmetric_groupoid():
     # One arrow 0 -> 1 with no way back.
     xtriv = battery.x_triv(GF3)
@@ -89,8 +99,8 @@ def abelian_zero_over_nonabelian_module():
 
 
 BREACHES = (shift_of_non_morphism, groupoid_of_invalid_module,
-            classes_of_asymmetric_groupoid, inclusion_with_doubled_coordinates,
-            abelian_zero_over_nonabelian_module)
+            groupoid_of_module_breaking_cm2, classes_of_asymmetric_groupoid,
+            inclusion_with_doubled_coordinates, abelian_zero_over_nonabelian_module)
 
 EXPECTED = [f"{check.__name__}: InvariantError, report ok=False"
             for check in BREACHES]
