@@ -1,4 +1,26 @@
-"""Enumeration kernels: the two scans behind morphism and derivation search.
+"""The compiled laws, and the two scans behind morphism and derivation search.
+
+One compiler writes every law checked on matrix entries as residue terms:
+the derivation law (the Lie-morphism law is its zero-action case),
+equivariance and the boundary square of a crossed-module morphism, and the
+crossed-module axioms cm1 and cm2 on a boundary (boundary_morphism is the
+Lie-morphism law on it).  Each *_law function yields one constraint per
+basis tuple and output coordinate: a list of monomials (c, positions) over
+the row-major positions of the unknown matrices, where positions is () for
+a constant, (t,) for a linear term and (s, t) for a bilinear one.  A
+constraint is the coordinate's lhs - rhs, so it holds when its monomials
+sum to zero.
+
+Two readers use it, and the checks run in two stages:
+
+* The scans file the derivation law on i < j pairs by highest position and
+  walk the digits depth first (below).  Valid, antisymmetric tensors make
+  the other pairs redundant.
+* A Law compiles the constraints on every ordered pair, i = j and i > j
+  included, since validators run on unvalidated tensors.  A validator
+  first evaluates its Law at the lifted entries of the maps under test and
+  returns the passing report when every constraint vanishes; only an input
+  that fails goes through the Scalar code that builds the witnesses.
 
 A candidate index names a rows x cols matrix over GF(p): entries are base-p
 digits of the index in row-major order, first entry most significant.  Each
@@ -13,13 +35,17 @@ at t and goes one digit deeper only when they all hold, so no failing prefix
 is extended.  Leaves arrive in ascending index order and are kept when their
 index lies in the range: the survivors of a candidate-by-candidate walk.
 
-All tensor arguments are flat tuples of residues: bracket tensors are indexed
-by (i*dim + j)*dim + k, the action table by (i*rows + b)*rows + r where
-act[(i*rows + b)*rows + r] is the r-th coordinate of f0(e_i) acting on the
-b-th codomain basis vector.
+All tensor arguments are flat tuples of lifted numbers (residues over
+GF(p)): bracket tensors are indexed by (i*dim + j)*dim + k, action tensors
+by (i*acted + j)*acted + k, and the action table of a derivation law by
+(i*rows + b)*rows + r, where act[(i*rows + b)*rows + r] is the r-th
+coordinate of f0(e_i) acting on the b-th codomain basis vector.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from operator import itemgetter, mul
 
 # Reported as liecross.KERNEL_BACKEND: the kernels are plain Python.
 BACKEND = "pure"
@@ -33,44 +59,154 @@ def decode(index: int, p: int, n: int) -> list[int]:
     return digits
 
 
-def _constraints(p, dom_br, act, cod_br, rows, cols):
-    """The law as (linear terms, bilinear terms), filed by highest position.
-
-    Constraint (i, j, r) for i < j is the r-th coordinate of
+def derivation_law(dom_br, act, cod_br, rows, cols, pairs, at=0):
+    """Constraint (i, j, r) for (i, j) in pairs and r < rows: the r-th
+    coordinate of
 
         D[e_i, e_j] - f0(e_i).D(e_j) + f0(e_j).D(e_i) - [D(e_i), D(e_j)]
 
-    written over digit positions: linear terms (t, c) and bilinear terms
-    (s, t, c), coefficients reduced mod p and zero terms dropped.  Entry h
-    of the result lists the constraints whose highest position is h.  A
-    constraint with no terms always holds and is left out.  act=None stands
-    for the zero action.
+    for a rows x cols matrix D whose entries start at position at.
+    act=None stands for the zero action, which leaves the Lie-morphism law
+    F[e_i, e_j] - [F(e_i), F(e_j)].
+    """
+    for i, j in pairs:
+        base = (i * cols + j) * cols
+        for r in range(rows):
+            terms = [(dom_br[base + k], (at + r * cols + k,)) for k in range(cols)]
+            if act is not None:
+                for b in range(rows):
+                    terms.append((-act[(i * rows + b) * rows + r],
+                                  (at + b * cols + j,)))
+                    terms.append((act[(j * rows + b) * rows + r],
+                                  (at + b * cols + i,)))
+            terms += [(-cod_br[(a * rows + b) * rows + r],
+                       (at + a * cols + i, at + b * cols + j))
+                      for a in range(rows) for b in range(rows)]
+            yield terms
+
+
+def equivariance_law(src_act, dst_act, dm, dm2, dp, dp2):
+    """Constraint (i, j, r), i < dp, j < dm, r < dm2: the r-th coordinate of
+    f1(e_i . e_j) - f0(e_i) . f1(e_j), with f1 (dm2 x dm) at position 0 and
+    f0 (dp2 x dp) right after it."""
+    at = dm2 * dm
+    for i in range(dp):
+        for j in range(dm):
+            base = (i * dm + j) * dm
+            for r in range(dm2):
+                yield ([(src_act[base + k], (r * dm + k,)) for k in range(dm)]
+                       + [(-dst_act[(a * dm2 + b) * dm2 + r],
+                           (at + a * dp + i, b * dm + j))
+                          for a in range(dp2) for b in range(dm2)])
+
+
+def square_law(bd, bd2, dm, dm2, dp, dp2):
+    """Constraint (j, r), j < dm, r < dp2: entry (r, j) of
+    boundary' . f1 - f0 . boundary, positions as in equivariance_law and the
+    boundaries (dp x dm and dp2 x dm2) flat in row-major order."""
+    at = dm2 * dm
+    for j in range(dm):
+        for r in range(dp2):
+            yield ([(bd2[r * dm2 + b], (b * dm + j,)) for b in range(dm2)]
+                   + [(-bd[a * dm + j], (at + r * dp + a,)) for a in range(dp)])
+
+
+def cm1_law(act, p_br, m, p):
+    """Constraint (i, j, r), i < p, j < m, r < p: the r-th coordinate of
+    boundary(e_i . e_j) - [e_i, boundary(e_j)] over the p x m boundary."""
+    for i in range(p):
+        for j in range(m):
+            base = (i * m + j) * m
+            for r in range(p):
+                yield ([(act[base + k], (r * m + k,)) for k in range(m)]
+                       + [(-p_br[(i * p + b) * p + r], (b * m + j,))
+                          for b in range(p)])
+
+
+def cm2_law(act, m_br, m, p):
+    """Constraint (i, j, r), i, j, r < m: the r-th coordinate of
+    boundary(e_i) . e_j - [e_i, e_j] over the p x m boundary."""
+    for i in range(m):
+        for j in range(m):
+            for r in range(m):
+                yield ([(act[(a * m + j) * m + r], (a * m + i,)) for a in range(p)]
+                       + [(-m_br[(i * m + j) * m + r], ())])
+
+
+class Law:
+    """Constraints compiled for evaluation at a point.
+
+    holds(x) is True exactly when every constraint vanishes at x, the size
+    entries of the maps under test as a list of lifted numbers: mod p over
+    GF(p) (p the modulus), exactly over QQ (p None).  Each constraint is
+    linear over x extended by the products its bilinear terms need and a
+    trailing 1 for constants; it is kept as an itemgetter of those slots
+    and their coefficients, merged, with zero coefficients dropped.
+    """
+
+    def __init__(self, p, size, constraints):
+        products: dict[tuple[int, int], int] = {}
+        rows = []
+        for terms in constraints:
+            coeffs: dict[tuple[int, ...], object] = {}
+            for c, positions in terms:
+                if c:
+                    key = tuple(sorted(positions))
+                    coeffs[key] = coeffs.get(key, 0) + c
+            kept = []
+            for key, c in coeffs.items():
+                if p:
+                    c %= p
+                if not c:
+                    continue
+                if len(key) == 2:
+                    slot = size + products.setdefault(key, len(products))
+                else:
+                    slot = key[0] if key else -1
+                kept.append((slot, c))
+            if kept:
+                # Two slots at least, so the itemgetter returns a tuple.
+                kept += [(-1, 0)] * (2 - len(kept))
+                slots, cs = zip(*kept)
+                rows.append((itemgetter(*slots), cs))
+        self._p = p
+        self._left = tuple(s for s, _ in products)
+        self._right = tuple(t for _, t in products)
+        self._rows = rows
+
+    def holds(self, x) -> bool:
+        at = x.__getitem__
+        ext = [*x, *map(mul, map(at, self._left), map(at, self._right)), 1]
+        p, rows = self._p, self._rows
+        if p is None:
+            return not any([sum(map(mul, cs, get(ext))) for get, cs in rows])
+        return not any([sum(map(mul, cs, get(ext))) % p for get, cs in rows])
+
+
+def _constraints(p, dom_br, act, cod_br, rows, cols):
+    """The derivation law on pairs i < j as (linear terms, bilinear terms),
+    filed by highest position.
+
+    Linear terms are (t, c) and bilinear terms (s, t, c), coefficients
+    reduced mod p and zero terms dropped.  Entry h of the result lists the
+    constraints whose highest position is h.  A constraint with no terms
+    always holds and is left out.
     """
     at = [[] for _ in range(rows * cols)]
-    for i in range(cols):
-        for j in range(i + 1, cols):
-            for r in range(rows):
-                lin: dict[int, int] = {}
-                base = (i * cols + j) * cols
-                for k in range(cols):
-                    lin[r * cols + k] = lin.get(r * cols + k, 0) + dom_br[base + k]
-                if act is not None:
-                    for b in range(rows):
-                        lin[b * cols + j] = (lin.get(b * cols + j, 0)
-                                             - act[(i * rows + b) * rows + r])
-                        lin[b * cols + i] = (lin.get(b * cols + i, 0)
-                                             + act[(j * rows + b) * rows + r])
-                bil_terms = []
-                for a in range(rows):
-                    for b in range(rows):
-                        c = -cod_br[(a * rows + b) * rows + r] % p
-                        if c:
-                            bil_terms.append((a * cols + i, b * cols + j, c))
-                lin_terms = [(t, c % p) for t, c in sorted(lin.items()) if c % p]
-                if lin_terms or bil_terms:
-                    h = max([t for t, _ in lin_terms]
-                            + [max(s, t) for s, t, _ in bil_terms])
-                    at[h].append((lin_terms, bil_terms))
+    for terms in derivation_law(dom_br, act, cod_br, rows, cols,
+                                combinations(range(cols), 2)):
+        lin: dict[int, int] = {}
+        bil_terms = []
+        for c, positions in terms:
+            if len(positions) == 1:
+                lin[positions[0]] = lin.get(positions[0], 0) + c
+            elif c % p:
+                bil_terms.append((*positions, c % p))
+        lin_terms = [(t, c % p) for t, c in sorted(lin.items()) if c % p]
+        if lin_terms or bil_terms:
+            h = max([t for t, _ in lin_terms]
+                    + [max(s, t) for s, t, _ in bil_terms])
+            at[h].append((lin_terms, bil_terms))
     return at
 
 

@@ -11,17 +11,24 @@ sparse copy of the tensor in the field's lifted numbers (see fields) and
 lower each coordinate back to a Scalar.
 
 Axiom checking lives in the validate_* functions, which return witness
-bearing reports instead of raising.  Constructors only reject malformed
-shapes; the one exception is inclusion_crossed_module, which must refuse a
-non-ideal to produce anything meaningful.  It and abelian_zero_crossed_module
-validate what they build and raise InvariantError if it breaks an axiom.
+bearing reports instead of raising.  validate_crossed_module first
+evaluates the axioms' compiled law (see _kernels) at the boundary's lifted
+entries and returns the passing report straight from it; only a module
+that fails goes through the Scalar code that builds the witnesses.
+Constructors only reject malformed shapes; the one exception is
+inclusion_crossed_module, which must refuse a non-ideal to produce anything
+meaningful.  It and abelian_zero_crossed_module validate what they build
+and raise InvariantError if it breaks an axiom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import product
+from typing import Callable, Iterable, Mapping, Sequence
 
+from ._kernels import Law, cm1_law, cm2_law, derivation_law
 from .errors import (
     FieldMismatchError,
     InvariantError,
@@ -30,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fields import FieldSpec, Scalar, same_field
-from .linalg import LinearMap, Vector, _row_reduce, span_solver
+from .linalg import LinearMap, Vector, _entries, _row_reduce, span_solver
 from .validation import ValidationReport
 
 # Structure tensors are dense, so O(n^3) storage; fine for desk scale.
@@ -72,6 +79,31 @@ def _terms(field: FieldSpec, tensor: Tensor) -> tuple[tuple[int, int, int, objec
                  for i, plane in enumerate(tensor)
                  for j, row in enumerate(plane)
                  for k, c in enumerate(row) if c)
+
+
+def _flat(field: FieldSpec, tensor: Tensor) -> tuple:
+    """The entries of a tensor as lifted numbers, flat in row-major order."""
+    lift = field._lift
+    return tuple(lift(c) for plane in tensor for row in plane for c in row)
+
+
+def _flat_structure(algebra: "LieAlgebra") -> tuple:
+    return _flat(algebra.field, algebra.structure)
+
+
+class _PartnerLaws(dict):
+    """Compiled laws that pair one object with another, made on first use.
+
+    Keyed by the partner's identity: hashing its tensors would cost more
+    than the law saves.  Each entry holds its partner, so the id cannot be
+    reused while the entry lives.
+    """
+
+    def law(self, partner, make: Callable[[], Law]) -> Law:
+        hit = self.get(id(partner))
+        if hit is None or hit[0] is not partner:
+            hit = self[id(partner)] = (partner, make())
+        return hit[1]
 
 
 def _expand(field: FieldSpec, terms, x: Vector, y: Vector, dim: int) -> Vector:
@@ -153,6 +185,11 @@ class LieAlgebra:
         tensor = _sparse_to_dense(field, (dim, dim, dim), brackets,
                                   antisymmetric=True)
         return cls(name, field, dim, tensor)
+
+    @cached_property
+    def _laws(self) -> _PartnerLaws:
+        """The Lie-morphism laws from this algebra, by codomain."""
+        return _PartnerLaws()
 
     def basis(self, i: int) -> Vector:
         return Vector.basis(self.field, self.dim, i)
@@ -236,6 +273,15 @@ class LieAction:
         self.acted._check_member(m)
         return _expand(self.field, self._terms, p, m, self.acted.dim)
 
+    def _matrix(self, coords) -> list[list]:
+        """The matrix of v = sum_a coords[a] e_a acting on the acted algebra,
+        in lifted numbers: entry (r, b) is the r-th coordinate of v . e_b."""
+        dim = self.acted.dim
+        acc = [[0] * dim for _ in range(dim)]
+        for a, b, r, c in self._terms:
+            acc[r][b] += coords[a] * c
+        return acc
+
 
 @dataclass(frozen=True)
 class CrossedModule:
@@ -264,6 +310,23 @@ class CrossedModule:
     @property
     def field(self) -> FieldSpec:
         return self.p_algebra.field
+
+    @cached_property
+    def _laws(self) -> _PartnerLaws:
+        """The crossed-morphism laws from this module, by target module."""
+        return _PartnerLaws()
+
+    @cached_property
+    def _axiom_law(self) -> Law:
+        """boundary_morphism, cm1 and cm2 over the boundary's entries."""
+        m_alg, p_alg = self.m_algebra, self.p_algebra
+        m, p = m_alg.dim, p_alg.dim
+        m_br, p_br = _flat_structure(m_alg), _flat_structure(p_alg)
+        act = _flat(self.field, self.action.tensor)
+        return Law(self.field.p, p * m, [
+            *_lie_morphism_law(m_alg, p_alg),
+            *cm1_law(act, p_br, m, p),
+            *cm2_law(act, m_br, m, p)])
 
     def __str__(self):
         return (f"{self.name} (module {self.m_algebra.name}, "
@@ -321,6 +384,13 @@ def validate_action(action: LieAction) -> ValidationReport:
     return report
 
 
+def _lie_morphism_law(dom: LieAlgebra, cod: LieAlgebra, at: int = 0):
+    """The Lie-morphism law dom -> cod on every ordered basis pair, over a
+    cod.dim x dom.dim map whose entries start at position at."""
+    return derivation_law(_flat_structure(dom), None, _flat_structure(cod),
+                          cod.dim, dom.dim, product(range(dom.dim), repeat=2), at)
+
+
 def _lie_morphism_sides(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra):
     """sides(i, j) = (f[e_i, e_j], [f e_i, f e_j]), for ValidationReport.check."""
     images = f.columns()
@@ -334,6 +404,8 @@ def validate_crossed_module(xmod: CrossedModule) -> ValidationReport:
     Assumes the component algebras and the action are validated separately;
     this report covers boundary_morphism, cm1 and cm2 only.
     """
+    if xmod._axiom_law.holds(_entries(xmod.boundary)):
+        return ValidationReport(xmod.name, ["boundary_morphism", "cm1", "cm2"])
     report = ValidationReport(xmod.name)
     m_alg, p_alg = xmod.m_algebra, xmod.p_algebra
     boundary, act = xmod.boundary, xmod.action.act

@@ -33,6 +33,7 @@ from .documents import Workspace, _matrix_doc, parse_workspace
 from .groupoid import (
     DEFAULT_BUDGET,
     HomGroupoid,
+    _class_scans,
     build_hom_groupoid,
     enumerate_derivations,
     enumerate_morphisms,
@@ -196,13 +197,13 @@ def _cmd_groupoid(ws: Workspace, args, out) -> int:
 
 def _cmd_classes(ws: Workspace, args, out) -> int:
     source, target = map(ws.require_module, args.hom)
-    groupoid = build_hom_groupoid(source, target,
-                                  budget=args.budget, workers=args.workers)
-    classes = homotopy_classes(groupoid)
-    line = (f"objects={len(groupoid.objects)} classes={len(classes)} "
+    # One derivation scan per class gives the classes; no arrow is built.
+    objects, scans = _class_scans(source, target, args.budget)
+    classes = [sorted({j for _, j in reach}) for reach in scans]
+    line = (f"objects={len(objects)} classes={len(classes)} "
             f"sizes={_sizes_text(classes)}")
     _emit(args, out, [line],
-          {"command": "classes", "objects": len(groupoid.objects),
+          {"command": "classes", "objects": len(objects),
            "classes": len(classes),
            "sizes": sorted(len(c) for c in classes)})
     return 0

@@ -37,6 +37,7 @@ from .algebras import (
     CrossedModule,
     LieAction,
     LieAlgebra,
+    _flat_structure,
     validate_action,
     validate_crossed_module,
     validate_lie_algebra,
@@ -93,11 +94,6 @@ def _require_prime(field: FieldSpec):
 def _check_budget(space: int, budget: int, what: str):
     if space > budget:
         raise BudgetExceededError(space, budget, what)
-
-
-def _flat_structure(algebra: LieAlgebra) -> tuple[int, ...]:
-    lift = algebra.field._lift
-    return tuple(lift(c) for plane in algebra.structure for row in plane for c in row)
 
 
 class LazySequence(Sequence):
@@ -229,12 +225,8 @@ def _lie_morphism_scan(dom: LieAlgebra,
 def _acting_matrix(action: LieAction, coords) -> Rows:
     """The residue matrix of v = sum_a coords[a] e_a acting on the acted
     module: entry (r, b) is the r-th coordinate of v . e_b."""
-    dim = action.acted.dim
-    acc = [[0] * dim for _ in range(dim)]
-    for a, b, r, c in action._terms:
-        acc[r][b] += coords[a] * c
     p = action.field.p
-    return tuple(tuple(v % p for v in row) for row in acc)
+    return tuple(tuple(v % p for v in row) for row in action._matrix(coords))
 
 
 def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
@@ -345,15 +337,9 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
     cols = f.source.p_algebra.dim
     _check_budget(p ** (rows * cols), budget, "derivation scan")
 
-    dom_br = _flat_structure(f.source.p_algebra)
-    cod_br = _flat_structure(f.target.m_algebra)
-    rho = [_acting_matrix(f.target.action, col)
-           for col in _transpose(f.f0._raw_rows, cols)]
-    act_flat = tuple(rho[i][r][b]
-                     for i in range(cols) for b in range(rows) for r in range(rows))
-
-    found = _kernels.scan_derivations(p, dom_br, act_flat, cod_br, rows, cols,
-                                      0, p ** (rows * cols))
+    found = _kernels.scan_derivations(
+        p, _flat_structure(f.source.p_algebra), f._f0_action,
+        _flat_structure(f.target.m_algebra), rows, cols, 0, p ** (rows * cols))
     d_map = _map_builder(field, rows, cols)
     return LazySequence(len(found), lambda k: Derivation(f, d_map(found[k])))
 
@@ -370,37 +356,28 @@ def _module_report(source: CrossedModule, target: CrossedModule) -> ValidationRe
     return report
 
 
-def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
-                       budget: int = DEFAULT_BUDGET,
-                       workers: int = 1) -> HomGroupoid:
-    """Objects, then all derivations at each object with resolved targets.
+def _class_scans(source: CrossedModule, target: CrossedModule,
+                 budget: int) -> tuple[Sequence[CrossedMorphism],
+                                       list[list[tuple[Rows, int]]]]:
+    """The objects, and one derivation scan per homotopy class.
 
-    Derivations are scanned once per homotopy class, at the first object f
-    not yet in a class, and each is shifted onto its target among the
-    objects.  A missing target (the modules break an axiom they were not
-    validated against) raises InvariantError with the target's morphism
-    report.  After the first class's scan, and before any arrow is derived,
-    both modules are validated: the four algebras, the actions and the
-    crossed-module axioms.  A failure raises InvariantError with the merged
-    report.  Every other member g of the class, reached from f by some d_g,
-    gets the derivations d_h - d_g for d_h in Der(f), each ending where d_h
-    does.  Each object's arrows are sorted by their rows, the odometer order
-    of a scan at that object.  workers has no effect.
+    Classes come in the order of their first object f, where the scan runs:
+    one enumerate_derivations and one shift_morphism per derivation, each
+    shifted map looked up among the objects.  A scan is the list of
+    (d rows, target index) of the derivations at f, in odometer order; its
+    targets are f's class.  A missing target (the modules break an axiom
+    they were not validated against) raises InvariantError with the
+    target's morphism report.  After the first scan both modules are
+    validated: the four algebras, the actions and the crossed-module
+    axioms.  A failure raises InvariantError with the merged report.
     """
     objects = enumerate_morphisms(source, target, budget=budget)
     position = {(f.f1._raw_rows, f.f0._raw_rows): i
                 for i, f in enumerate(objects)}
-    field = source.field
-    p = field.p
-    shape = (target.m_algebra.dim, source.p_algebra.dim)
-    # Equal d rows share one LinearMap, whose rows come from one lowered-row cache.
-    lowered = _Memo(lambda row: tuple(map(field._lower, row)))
-    maps = _Memo(lambda d: LinearMap(field, *shape, tuple(map(lowered.__getitem__, d))))
-    minus = _Memo(lambda rs: tuple([(a - b) % p for a, b in zip(*rs)]))
-    # out_of[j] lists (d rows, target) of the arrows at object j.
-    out_of: list[list[tuple[Rows, int]] | None] = [None] * len(objects)
+    scans = []
+    classed = [False] * len(objects)
     for i, f in enumerate(objects):
-        if out_of[i] is not None:
+        if classed[i]:
             continue
         reach = []
         for der in enumerate_derivations(f, budget=budget):
@@ -416,6 +393,37 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
             if not report.ok:
                 raise InvariantError("a module of the hom-groupoid fails an axiom",
                                      report)
+        for _, j in reach:
+            classed[j] = True
+        scans.append(reach)
+    return objects, scans
+
+
+def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
+                       budget: int = DEFAULT_BUDGET,
+                       workers: int = 1) -> HomGroupoid:
+    """Objects, then all derivations at each object with resolved targets.
+
+    Derivations are scanned once per homotopy class, at the first object f
+    not yet in a class, with the checks and errors of _class_scans: a
+    missing target or a module that fails an axiom raises InvariantError
+    before any arrow is derived.  Every other member g of the class,
+    reached from f by some d_g, gets the derivations d_h - d_g for d_h in
+    Der(f), each ending where d_h does.  Each object's arrows are sorted by
+    their rows, the odometer order of a scan at that object.  workers has
+    no effect.
+    """
+    objects, scans = _class_scans(source, target, budget)
+    field = source.field
+    p = field.p
+    shape = (target.m_algebra.dim, source.p_algebra.dim)
+    # Equal d rows share one LinearMap, whose rows come from one lowered-row cache.
+    lowered = _Memo(lambda row: tuple(map(field._lower, row)))
+    maps = _Memo(lambda d: LinearMap(field, *shape, tuple(map(lowered.__getitem__, d))))
+    minus = _Memo(lambda rs: tuple([(a - b) % p for a, b in zip(*rs)]))
+    # out_of[j] lists (d rows, target) of the arrows at object j.
+    out_of: list[list[tuple[Rows, int]]] = [[] for _ in objects]
+    for reach in scans:
         anchors: dict[int, Rows] = {}
         for d, j in reach:
             anchors.setdefault(j, d)

@@ -8,6 +8,11 @@ d: P -> M' satisfying
 shifts f to a new morphism g with g0 = f0 + boundary' . d and
 g1 = f1 + d . boundary.  Such a d is an arrow f => g; the zero map, -d and
 d + d' provide identities, inverses and composition.
+
+is_f0_derivation evaluates the derivation law compiled at f (see _kernels
+and CrossedMorphism._derivation_law) at d's lifted entries first and
+returns the passing report straight from it; only a d that fails runs the
+Scalar check, which builds the witnesses.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import (
     InvariantError,
 )
 from .fields import same_field
-from .linalg import LinearMap
+from .linalg import LinearMap, _entries
 from .morphisms import CrossedMorphism, validate_crossed_morphism
 from .validation import ValidationReport
 
@@ -65,6 +70,8 @@ class Derivation:
 def is_f0_derivation(d: LinearMap, f: CrossedMorphism) -> ValidationReport:
     """Check the derivation law on all ordered basis pairs of P."""
     _check_shape(d, f)
+    if f._derivation_law.holds(_entries(d)):
+        return ValidationReport("derivation", ["derivation_law"])
     p_alg = f.source.p_algebra
     m_prime = f.target.m_algebra
     act = f.target.action.act

@@ -239,6 +239,12 @@ class LinearMap:
         ) + "]"
 
 
+def _entries(*maps: LinearMap) -> list:
+    """The maps' lifted entries, row-major, one map after another: the point
+    at which a compiled law (see _kernels) is evaluated."""
+    return [v for m in maps for row in m._raw_rows for v in row]
+
+
 def _row_reduce(rows: list[list[Scalar]], field: FieldSpec,
                 stop_col: int | None = None) -> tuple[list[list[Scalar]], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns)."""

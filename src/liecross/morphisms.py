@@ -4,16 +4,32 @@ A morphism is a pair of linear maps f1: M -> M' and f0: P -> P' that are
 both Lie algebra morphisms, intertwine the actions, and commute with the
 boundaries.  Equality is structural on endpoints and matrices, so enumerated
 morphisms deduplicate and hash consistently.
+
+is_lie_morphism and validate_crossed_morphism first evaluate their compiled
+law (see _kernels) at the maps' lifted entries and return the passing
+report straight from it.  Only an input that fails runs the Scalar checks,
+which build the witnesses.  A law is compiled on first use and kept on the
+domain algebra or source module, by codomain or target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
-from .algebras import CrossedModule, LieAlgebra, _lie_morphism_sides
+from ._kernels import Law, derivation_law, equivariance_law, square_law
+from .algebras import (
+    CrossedModule,
+    LieAlgebra,
+    _flat,
+    _flat_structure,
+    _lie_morphism_law,
+    _lie_morphism_sides,
+)
 from .errors import EndpointMismatchError, FieldMismatchError
 from .fields import same_field
-from .linalg import LinearMap
+from .linalg import LinearMap, _entries
 from .validation import ValidationReport
 
 
@@ -37,6 +53,25 @@ class CrossedMorphism:
         self.f0._require_shape(self.target.p_algebra.dim,
                                self.source.p_algebra.dim, "f0")
 
+    @cached_property
+    def _f0_action(self) -> tuple:
+        """f0's action on M' as the kernels' flat table: entry
+        (i*rows + b)*rows + r is the r-th coordinate of f0(e_i) . e_b, in
+        lifted numbers (not reduced mod p)."""
+        rows, f0 = self.target.m_algebra.dim, self.f0._raw_rows
+        rho = [self.target.action._matrix([row[i] for row in f0])
+               for i in range(self.source.p_algebra.dim)]
+        return tuple(m[r][b] for m in rho for b in range(rows) for r in range(rows))
+
+    @cached_property
+    def _derivation_law(self) -> Law:
+        """The derivation law along this morphism, on every ordered basis
+        pair of P, over the entries of d: P -> M'."""
+        p_alg, m_prime = self.source.p_algebra, self.target.m_algebra
+        return Law(self.source.field.p, m_prime.dim * p_alg.dim, derivation_law(
+            _flat_structure(p_alg), self._f0_action, _flat_structure(m_prime),
+            m_prime.dim, p_alg.dim, product(range(p_alg.dim), repeat=2)))
+
     def is_endomorphism(self) -> bool:
         return self.source == self.target
 
@@ -51,16 +86,38 @@ def is_lie_morphism(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra,
     f._require_shape(cod.dim, dom.dim, "map")
     if not (same_field(f.field, dom.field) and same_field(dom.field, cod.field)):
         raise FieldMismatchError("map and algebras over different fields")
+    law = dom._laws.law(cod, lambda: Law(dom.field.p, cod.dim * dom.dim,
+                                         _lie_morphism_law(dom, cod)))
+    if law.holds(_entries(f)):
+        return ValidationReport(subject, ["lie_morphism"])
     report = ValidationReport(subject)
     report.check("lie_morphism", (dom.dim, dom.dim), _lie_morphism_sides(f, dom, cod))
     return report
 
 
+def _morphism_law(src: CrossedModule, dst: CrossedModule) -> Law:
+    """Every law of validate_crossed_morphism over f1's entries, then f0's."""
+    dm, dm2 = src.m_algebra.dim, dst.m_algebra.dim
+    dp, dp2 = src.p_algebra.dim, dst.p_algebra.dim
+    field = src.field
+    return Law(field.p, dm2 * dm + dp2 * dp, [
+        *_lie_morphism_law(src.m_algebra, dst.m_algebra),
+        *_lie_morphism_law(src.p_algebra, dst.p_algebra, dm2 * dm),
+        *equivariance_law(_flat(field, src.action.tensor),
+                          _flat(field, dst.action.tensor), dm, dm2, dp, dp2),
+        *square_law(_entries(src.boundary), _entries(dst.boundary),
+                    dm, dm2, dp, dp2)])
+
+
 def validate_crossed_morphism(phi: CrossedMorphism,
                               subject: str = "morphism") -> ValidationReport:
     """Check both component morphisms, equivariance and the boundary square."""
-    report = ValidationReport(subject)
     src, dst = phi.source, phi.target
+    if src._laws.law(dst, lambda: _morphism_law(src, dst)).holds(
+            _entries(phi.f1, phi.f0)):
+        return ValidationReport(
+            subject, ["f1_morphism", "f0_morphism", "equivariance", "square"])
+    report = ValidationReport(subject)
     m, p = src.m_algebra.dim, src.p_algebra.dim
     report.check("f1_morphism", (m, m),
                  _lie_morphism_sides(phi.f1, src.m_algebra, dst.m_algebra))

@@ -11,6 +11,14 @@ which visits only i <= j, has its own loop): it records the check, walks the
 with 1-based indices and both sides, at every tuple whose sides differ.  A
 report lists all failing tuples of a check in that order; lines() shows the
 first.
+
+The morphism, derivation and crossed-module validators check in two
+stages.  They first evaluate the law compiled from their tensors (see
+_kernels) at the lifted entries of the maps under test; when every residue
+term vanishes they return the passing report directly, with the same
+subject and the same checks in the same order.  Only an input that fails
+runs the Scalar checks through ValidationReport.check, which build the
+witnesses, so failing reports are the same whichever stage decided.
 """
 
 from __future__ import annotations

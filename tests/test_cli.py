@@ -410,3 +410,61 @@ class TestGroupoidBytes:
         expected = self.TEXT_STDOUT if fmt == "text" else self.DOCUMENT
         assert hashlib.sha256(stdout).hexdigest() == expected
         assert hashlib.sha256(emit.read_bytes()).hexdigest() == self.DOCUMENT
+
+
+# The README workspace with one action coefficient changed (cm1 fails, and
+# shear's derivation law with it) and shifted's f1 changed (square fails).
+BROKEN_LAW_DOC = (
+    X_AFF_DOC.replace('{i: 1, j: 1, out: [{k: 1, c: "1"}]}',
+                      '{i: 1, j: 1, out: [{k: 1, c: "2"}]}')
+    .replace('f1: [["2"]]', 'f1: [["1"]]'))
+
+
+class TestReportBytes:
+    """validate, target and check-homotopy stdout, pinned by sha256 in both
+    formats on the README workspace (with the morphisms its check-homotopy
+    example names) and on a copy that fails a law of each kind."""
+
+    COMMANDS = {
+        "validate": [],
+        "target": ["--from", "ident", "--via", "shear"],
+        "check-homotopy": ["--from", "ident", "--to", "shifted", "--via", "shear"],
+    }
+    DIGESTS = {
+        ("passing", "validate", "text"):
+            "bbc1152d627a13a2062707cc8a0d46e0cd60fb80c776abdabcf67fe0d8bf1ede",
+        ("passing", "validate", "structured"):
+            "c030ac5e272014f8562049d272cd92c7ccfde7574a5fd70322c9b92d5c6a0d0a",
+        ("passing", "target", "text"):
+            "b74c17e9cbfb1be5176bd92c50b36005bc86322b37adbf904edec1e60dee0c71",
+        ("passing", "target", "structured"):
+            "c0fad697c75c2e99c7742b98d19d64435e9ddf107b1257e965cf8a64df3fecff",
+        ("passing", "check-homotopy", "text"):
+            "348c95ff9230a9f88936ac1f450b1b6bb787449a507fbcb90e119595f05adb8a",
+        ("passing", "check-homotopy", "structured"):
+            "f72a76e255896cf4e50e1ece07c1b43408f3df1256b6ad321337399f3cec8852",
+        ("broken", "validate", "text"):
+            "3629737f5dc55fecc41f51844f5a72442d0d7b6fbedec38d445fc28ee9834869",
+        ("broken", "validate", "structured"):
+            "c9cbc25700414c357aa76663d2894939221828e8a56fdd9e1b7806fbfc25daca",
+        ("broken", "target", "text"):
+            "aafebd59d5cadc9e37e6451da357c4f8b042e81d341811d489be893104061cad",
+        ("broken", "target", "structured"):
+            "9fcc72ca5cdf5e49f49c91692f4b75625b1a65ccaf09512436cf61b2c1e8eaf0",
+        ("broken", "check-homotopy", "text"):
+            "54d382ec11d683f259d32fbc7b1e6dbc2e419ae890f42e67ea2d15ed9272b5de",
+        ("broken", "check-homotopy", "structured"):
+            "c014233583f2ba4150b63e0bae461f4f25f7d6a76c767b92f51c3d04065cc1ad",
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("doc", ["passing", "broken"])
+    def test_stdout_digest(self, tmp_path, doc, command, fmt):
+        path = tmp_path / "ws.yaml"
+        path.write_text(X_AFF_DOC if doc == "passing" else BROKEN_LAW_DOC)
+        code, text = run([command, str(path), *self.COMMANDS[command],
+                          "--format", fmt])
+        assert code == (0 if doc == "passing" else 1)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.DIGESTS[doc, command, fmt]

@@ -30,6 +30,7 @@ from liecross import (
     validate_groupoid,
 )
 from liecross.cli import _groupoid_document
+from liecross.groupoid import DEFAULT_BUDGET, _class_scans
 from liecross.documents import _matrix_doc
 from liecross.errors import BudgetExceededError, InvariantError
 
@@ -445,6 +446,18 @@ class TestGeneratedGroupoids:
             assert classes == homotopy_classes(reference), (a.name, b.name)
             nontrivial += any(loops_at(g, c[0]) > 1 for c in classes)
         assert nontrivial
+
+    @pytest.mark.parametrize("p, seed", [(2, 91), (3, 92), (5, 93)])
+    def test_class_scans_give_the_classes(self, p, seed):
+        # The classes CLI `classes` reads off one scan per class, without
+        # arrows, are the components of the built groupoid.
+        pool = self.pool(p, seed)
+        for a, b in [(a, b) for a in pool for b in pool if self.small(a, b)]:
+            objects, scans = _class_scans(a, b, DEFAULT_BUDGET)
+            g = build_hom_groupoid(a, b)
+            assert list(objects) == list(g.objects), (a.name, b.name)
+            assert [sorted({j for _, j in reach}) for reach in scans] \
+                == homotopy_classes(g), (a.name, b.name)
 
     @pytest.mark.parametrize("p, seed", [(2, 81), (3, 82), (5, 83)])
     def test_isomorphic_swap_preserves_shape(self, p, seed):
