@@ -1,26 +1,25 @@
 """The compiled laws, and the two scans behind morphism and derivation search.
 
-One compiler writes every law checked on matrix entries as residue terms:
-the derivation law (the Lie-morphism law is its zero-action case),
-equivariance and the boundary square of a crossed-module morphism, and the
-crossed-module axioms cm1 and cm2 on a boundary (boundary_morphism is the
-Lie-morphism law on it).  Each *_law function yields one constraint per
+One compiler writes the laws of the morphism searches and their validators
+as residue terms: the derivation law (the Lie-morphism law is its
+zero-action case), and equivariance and the boundary square of a
+crossed-module morphism.  Each *_law function yields one constraint per
 basis tuple and output coordinate: a list of monomials (c, positions) over
-the row-major positions of the unknown matrices, where positions is () for
-a constant, (t,) for a linear term and (s, t) for a bilinear one.  A
-constraint is the coordinate's lhs - rhs, so it holds when its monomials
-sum to zero.
-
-Two readers use it, and the checks run in two stages:
+the row-major positions of the unknown matrices, where positions is (t,)
+for a linear term and (s, t) for a bilinear one.  A constraint is the
+coordinate's lhs - rhs, so it holds when its monomials sum to zero.
+_normalised merges a constraint's monomials once for both readers, and the
+checks run in two stages:
 
 * The scans file the derivation law on i < j pairs by highest position and
   walk the digits depth first (below).  Valid, antisymmetric tensors make
   the other pairs redundant.
 * A Law compiles the constraints on every ordered pair, i = j and i > j
-  included, since validators run on unvalidated tensors.  A validator
-  first evaluates its Law at the lifted entries of the maps under test and
-  returns the passing report when every constraint vanishes; only an input
-  that fails goes through the Scalar code that builds the witnesses.
+  included, since validators run on unvalidated tensors.
+  validate_crossed_morphism and is_f0_derivation first evaluate their Law
+  at the lifted entries of the maps under test and return the passing
+  report when every constraint vanishes; only an input that fails goes
+  through the Scalar code that builds the witnesses.
 
 A candidate index names a rows x cols matrix over GF(p): entries are base-p
 digits of the index in row-major order, first entry most significant.  Each
@@ -111,26 +110,17 @@ def square_law(bd, bd2, dm, dm2, dp, dp2):
                    + [(-bd[a * dm + j], (at + r * dp + a,)) for a in range(dp)])
 
 
-def cm1_law(act, p_br, m, p):
-    """Constraint (i, j, r), i < p, j < m, r < p: the r-th coordinate of
-    boundary(e_i . e_j) - [e_i, boundary(e_j)] over the p x m boundary."""
-    for i in range(p):
-        for j in range(m):
-            base = (i * m + j) * m
-            for r in range(p):
-                yield ([(act[base + k], (r * m + k,)) for k in range(m)]
-                       + [(-p_br[(i * p + b) * p + r], (b * m + j,))
-                          for b in range(p)])
-
-
-def cm2_law(act, m_br, m, p):
-    """Constraint (i, j, r), i, j, r < m: the r-th coordinate of
-    boundary(e_i) . e_j - [e_i, e_j] over the p x m boundary."""
-    for i in range(m):
-        for j in range(m):
-            for r in range(m):
-                yield ([(act[(a * m + j) * m + r], (a * m + i,)) for a in range(p)]
-                       + [(-m_br[(i * m + j) * m + r], ())])
+def _normalised(p, terms) -> dict:
+    """A constraint's monomials merged by their sorted positions, with
+    coefficients reduced mod p (kept exact when p is None) and zeros
+    dropped, in order of first appearance: {positions: c}."""
+    merged: dict[tuple[int, ...], object] = {}
+    for c, positions in terms:
+        key = tuple(sorted(positions))
+        merged[key] = merged.get(key, 0) + c
+    if p:
+        merged = {key: c % p for key, c in merged.items()}
+    return {key: c for key, c in merged.items() if c}
 
 
 class Law:
@@ -139,34 +129,20 @@ class Law:
     holds(x) is True exactly when every constraint vanishes at x, the size
     entries of the maps under test as a list of lifted numbers: mod p over
     GF(p) (p the modulus), exactly over QQ (p None).  Each constraint is
-    linear over x extended by the products its bilinear terms need and a
-    trailing 1 for constants; it is kept as an itemgetter of those slots
-    and their coefficients, merged, with zero coefficients dropped.
+    linear over x extended by the products its bilinear terms need; it is
+    kept as an itemgetter of those slots and their coefficients.
     """
 
     def __init__(self, p, size, constraints):
         products: dict[tuple[int, int], int] = {}
         rows = []
         for terms in constraints:
-            coeffs: dict[tuple[int, ...], object] = {}
-            for c, positions in terms:
-                if c:
-                    key = tuple(sorted(positions))
-                    coeffs[key] = coeffs.get(key, 0) + c
-            kept = []
-            for key, c in coeffs.items():
-                if p:
-                    c %= p
-                if not c:
-                    continue
-                if len(key) == 2:
-                    slot = size + products.setdefault(key, len(products))
-                else:
-                    slot = key[0] if key else -1
-                kept.append((slot, c))
+            kept = [(key[0] if len(key) == 1
+                     else size + products.setdefault(key, len(products)), c)
+                    for key, c in _normalised(p, terms).items()]
             if kept:
                 # Two slots at least, so the itemgetter returns a tuple.
-                kept += [(-1, 0)] * (2 - len(kept))
+                kept += [(0, 0)] * (2 - len(kept))
                 slots, cs = zip(*kept)
                 rows.append((itemgetter(*slots), cs))
         self._p = p
@@ -176,7 +152,7 @@ class Law:
 
     def holds(self, x) -> bool:
         at = x.__getitem__
-        ext = [*x, *map(mul, map(at, self._left), map(at, self._right)), 1]
+        ext = [*x, *map(mul, map(at, self._left), map(at, self._right))]
         p, rows = self._p, self._rows
         if p is None:
             return not any([sum(map(mul, cs, get(ext))) for get, cs in rows])
@@ -187,26 +163,19 @@ def _constraints(p, dom_br, act, cod_br, rows, cols):
     """The derivation law on pairs i < j as (linear terms, bilinear terms),
     filed by highest position.
 
-    Linear terms are (t, c) and bilinear terms (s, t, c), coefficients
-    reduced mod p and zero terms dropped.  Entry h of the result lists the
-    constraints whose highest position is h.  A constraint with no terms
-    always holds and is left out.
+    Linear terms are (t, c), sorted by t, and bilinear terms (s, t, c), from
+    _normalised.  Entry h of the result lists the constraints whose highest
+    position is h.  A constraint with no terms always holds and is left out.
     """
     at = [[] for _ in range(rows * cols)]
     for terms in derivation_law(dom_br, act, cod_br, rows, cols,
                                 combinations(range(cols), 2)):
-        lin: dict[int, int] = {}
-        bil_terms = []
-        for c, positions in terms:
-            if len(positions) == 1:
-                lin[positions[0]] = lin.get(positions[0], 0) + c
-            elif c % p:
-                bil_terms.append((*positions, c % p))
-        lin_terms = [(t, c % p) for t, c in sorted(lin.items()) if c % p]
-        if lin_terms or bil_terms:
-            h = max([t for t, _ in lin_terms]
-                    + [max(s, t) for s, t, _ in bil_terms])
-            at[h].append((lin_terms, bil_terms))
+        merged = _normalised(p, terms)
+        if merged:
+            lin_terms = sorted((key[0], c) for key, c in merged.items()
+                               if len(key) == 1)
+            bil_terms = [(*key, c) for key, c in merged.items() if len(key) == 2]
+            at[max(map(max, merged))].append((lin_terms, bil_terms))
     return at
 
 

@@ -5,11 +5,11 @@ both Lie algebra morphisms, intertwine the actions, and commute with the
 boundaries.  Equality is structural on endpoints and matrices, so enumerated
 morphisms deduplicate and hash consistently.
 
-is_lie_morphism and validate_crossed_morphism first evaluate their compiled
-law (see _kernels) at the maps' lifted entries and return the passing
-report straight from it.  Only an input that fails runs the Scalar checks,
-which build the witnesses.  A law is compiled on first use and kept on the
-domain algebra or source module, by codomain or target.
+validate_crossed_morphism first evaluates its compiled law (see _kernels)
+at the maps' lifted entries and returns the passing report straight from
+it.  Only an input that fails runs the Scalar checks, which build the
+witnesses.  The law is compiled on first use and kept on the source
+module, by target.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .algebras import (
     LieAlgebra,
     _flat,
     _flat_structure,
-    _lie_morphism_law,
     _lie_morphism_sides,
 )
 from .errors import EndpointMismatchError, FieldMismatchError
@@ -86,13 +85,16 @@ def is_lie_morphism(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra,
     f._require_shape(cod.dim, dom.dim, "map")
     if not (same_field(f.field, dom.field) and same_field(dom.field, cod.field)):
         raise FieldMismatchError("map and algebras over different fields")
-    law = dom._laws.law(cod, lambda: Law(dom.field.p, cod.dim * dom.dim,
-                                         _lie_morphism_law(dom, cod)))
-    if law.holds(_entries(f)):
-        return ValidationReport(subject, ["lie_morphism"])
     report = ValidationReport(subject)
     report.check("lie_morphism", (dom.dim, dom.dim), _lie_morphism_sides(f, dom, cod))
     return report
+
+
+def _lie_morphism_law(dom: LieAlgebra, cod: LieAlgebra, at: int):
+    """The Lie-morphism law dom -> cod on every ordered basis pair, over a
+    cod.dim x dom.dim map whose entries start at position at."""
+    return derivation_law(_flat_structure(dom), None, _flat_structure(cod),
+                          cod.dim, dom.dim, product(range(dom.dim), repeat=2), at)
 
 
 def _morphism_law(src: CrossedModule, dst: CrossedModule) -> Law:
@@ -101,7 +103,7 @@ def _morphism_law(src: CrossedModule, dst: CrossedModule) -> Law:
     dp, dp2 = src.p_algebra.dim, dst.p_algebra.dim
     field = src.field
     return Law(field.p, dm2 * dm + dp2 * dp, [
-        *_lie_morphism_law(src.m_algebra, dst.m_algebra),
+        *_lie_morphism_law(src.m_algebra, dst.m_algebra, 0),
         *_lie_morphism_law(src.p_algebra, dst.p_algebra, dm2 * dm),
         *equivariance_law(_flat(field, src.action.tensor),
                           _flat(field, dst.action.tensor), dm, dm2, dp, dp2),

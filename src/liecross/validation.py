@@ -12,8 +12,8 @@ with 1-based indices and both sides, at every tuple whose sides differ.  A
 report lists all failing tuples of a check in that order; lines() shows the
 first.
 
-The morphism, derivation and crossed-module validators check in two
-stages.  They first evaluate the law compiled from their tensors (see
+validate_crossed_morphism and is_f0_derivation, which homotopy_target
+calls on every shift, check in two stages.  They first evaluate the law compiled from their tensors (see
 _kernels) at the lifted entries of the maps under test; when every residue
 term vanishes they return the passing report directly, with the same
 subject and the same checks in the same order.  Only an input that fails
