@@ -323,8 +323,8 @@ def run_command(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = Path(args.document).read_text()
-    except OSError as exc:
+        text = Path(args.document).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.document}: {exc}", file=out)
         return 2
     try:

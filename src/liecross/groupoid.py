@@ -19,9 +19,11 @@ the inverse -d_g at g, so the derivations at another member g are exactly
 d_h - d_g for d_h in Der(f), ending where d_h does: they are residue
 differences, with no further scan or shift.  That argument needs the
 crossed-module axioms, so both modules are validated before any arrow is
-derived.  validate_groupoid stays independent of it: it checks closure and
-the groupoid laws on one composition table, adding the derivations of each
-composable pair once.
+derived.  validate_groupoid stays independent of it: it adds the
+derivations of each composable pair once into a composition table that
+names each arrow by (src, d).  An arrow answers to at most one name, so both
+bracketings of a triple look up the same name and associativity is reported
+as closure; the unit and inverse laws are one lookup each.
 """
 
 from __future__ import annotations
@@ -440,8 +442,16 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
 
     Each composable pair is added once into a table of arrows, where (src, d)
     names the later of two equal arrows; a sum naming no arrow into the
-    pair's end fails associativity there.  The laws are lookups in the table;
-    arrows at an object without an identity loop skip unit and inverse.
+    pair's end fails associativity there.  The unit and inverse laws are one
+    lookup each in the table; arrows at an object without an identity loop
+    skip them.  An arrow answers to at most one name, its own, so nothing
+    else can fail:
+    - (t1 t2) t3 and t1 (t2 t3) both look up (src1, d1 + d2 + d3) and must
+      end where t3 does, so associativity is reported as closure;
+    - e t and t e', for the identities e and e' at t's ends, both look up
+      t's own name and must end where t does;
+    - t s = e names e, so d_s = -d_t, and s t looks up the zero derivation
+      at t's end, which is e'.
     """
     source, target = groupoid.source_module, groupoid.target_module
     objects, arrows = groupoid.objects, groupoid.arrows
@@ -498,50 +508,24 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
         home, away, row = ident[a.src], ident[a.dst], table[t]
         if home is None or away is None:
             continue
-        if table[home][pos[t]] != t or row[pos[away]] != t:
+        if row[pos[away]] != t:
             report.fail("identity", (t + 1,), "unit law", "arrow unchanged")
-        if home not in row or table[out_of[a.dst][row.index(home)]][pos[t]] != away:
+        if home not in row:
             report.fail("inverse", (t + 1,), "no inverse arrow", "-d at target")
-
-    # Associativity on every composable triple; missing composites failed above.
-    for t1 in kept:
-        row1 = table[t1]
-        for t2, t12 in zip(out_of[arrows[t1].dst], row1):
-            for t3, t23, lhs in zip(out_of[arrows[t2].dst], table[t2],
-                                    () if t12 is None else table[t12]):
-                if None not in (t23, lhs) and row1[pos[t23]] != lhs:
-                    report.fail("associativity", (t1 + 1, t2 + 1, t3 + 1),
-                                "(t1 t2) t3", "t1 (t2 t3)")
     return report
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
 
 
 def homotopy_classes(groupoid: HomGroupoid) -> list[list[int]]:
     """Connected components of the groupoid, as sorted 0-based object indices.
 
-    Components are ordered by smallest member.  Directed and undirected
-    reachability agree because every arrow has an inverse.  The symmetry is
+    An arrow whose src or dst names no object raises InvariantError with an
+    endpoints report, as validate_groupoid words it.  Every arrow has an
+    inverse, so directed reachability is the component; the symmetry is
     checked rather than re-proved: an arrow i -> j without some arrow
     j -> i raises InvariantError, whose report names the first such pair.
-    Before that, an arrow whose src or dst names no object raises
-    InvariantError with an endpoints report, as validate_groupoid words it.
+    The classes are then one walk along the arrows, each started at the
+    first object not yet in a class, so they come ordered by smallest
+    member.
     """
     objs = range(len(groupoid.objects))
     report = ValidationReport(str(groupoid))
@@ -559,10 +543,20 @@ def homotopy_classes(groupoid: HomGroupoid) -> list[list[int]]:
         report.fail("inverse", (i + 1, j + 1), f"arrow {i} -> {j}",
                     f"no arrow {j} -> {i}")
         raise InvariantError("arrow set is not symmetric", report)
-    uf = _UnionFind(len(objs))
+    reach: list[list[int]] = [[] for _ in objs]
     for i, j in edges:
-        uf.union(i, j)
-    components: dict[int, list[int]] = {}
+        reach[i].append(j)
+    classed = [False] * len(objs)
+    classes = []
     for i in objs:
-        components.setdefault(uf.find(i), []).append(i)
-    return [sorted(members) for _, members in sorted(components.items())]
+        if classed[i]:
+            continue
+        classed[i] = True
+        members = [i]
+        for k in members:  # members grows as the walk reaches new objects
+            for j in reach[k]:
+                if not classed[j]:
+                    classed[j] = True
+                    members.append(j)
+        classes.append(sorted(members))
+    return classes

@@ -195,6 +195,13 @@ class TestUsageErrors:
         assert code == 2
         assert "cannot read" in text
 
+    def test_document_not_utf8(self, tmp_path):
+        path = tmp_path / "bin.yaml"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, text = run(["validate", str(path)])
+        assert code == 2
+        assert text.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("field: [unclosed")

@@ -1,5 +1,6 @@
 """Groupoid construction, axiom validation, and homotopy classes."""
 
+import hashlib
 import json
 import random
 
@@ -107,29 +108,47 @@ def reference_failures(groupoid):
 
 
 def corrupt(groupoid, rng):
-    """groupoid with one random arrow dropped, sent elsewhere or given a
-    different derivation."""
+    """groupoid after 1 to 8 random corruptions, each of one arrow: dropped,
+    duplicated, given another src or dst, reversed with -d (anchored at its
+    old dst) or given a different derivation.  Endpoints stay in range."""
+    objects = groupoid.objects
     arrows = list(groupoid.arrows)
-    t = rng.randrange(len(arrows))
-    a = arrows[t]
-    kind = rng.choice(("drop", "dst", "d"))
-    if kind == "drop":
-        del arrows[t]
-    elif kind == "dst":
-        others = [i for i in range(len(groupoid.objects)) if i != a.dst]
-        arrows[t] = Arrow(a.src, rng.choice(others), a.derivation)
-    else:
-        d = a.derivation.d
-        while True:
-            bump = LinearMap.from_rows(d.field, [
-                [rng.randrange(d.field.p) for _ in range(d.cols)]
-                for _ in range(d.rows)])
-            if not bump.is_zero():
-                break
-        arrows[t] = Arrow(a.src, a.dst,
-                          Derivation(a.derivation.source_morphism, d + bump))
+    kinds = ["drop", "duplicate", "reverse"]
+    if len(objects) > 1:
+        kinds += ["src", "dst"]
+    if groupoid.target_module.m_algebra.dim * groupoid.source_module.p_algebra.dim:
+        kinds.append("d")
+    for _ in range(rng.randint(1, 8)):
+        if not arrows:
+            break
+        t = rng.randrange(len(arrows))
+        a = arrows[t]
+        kind = rng.choice(kinds)
+        if kind == "drop":
+            del arrows[t]
+        elif kind == "duplicate":
+            arrows.insert(rng.randrange(len(arrows) + 1), a)
+        elif kind == "src":
+            others = [i for i in range(len(objects)) if i != a.src]
+            arrows[t] = Arrow(rng.choice(others), a.dst, a.derivation)
+        elif kind == "dst":
+            others = [i for i in range(len(objects)) if i != a.dst]
+            arrows[t] = Arrow(a.src, rng.choice(others), a.derivation)
+        elif kind == "reverse":
+            arrows[t] = Arrow(a.dst, a.src,
+                              Derivation(objects[a.dst], -a.derivation.d))
+        else:
+            d = a.derivation.d
+            while True:
+                bump = LinearMap.from_rows(d.field, [
+                    [rng.randrange(d.field.p) for _ in range(d.cols)]
+                    for _ in range(d.rows)])
+                if not bump.is_zero():
+                    break
+            arrows[t] = Arrow(a.src, a.dst,
+                              Derivation(a.derivation.source_morphism, d + bump))
     return HomGroupoid(groupoid.source_module, groupoid.target_module,
-                       groupoid.objects, tuple(arrows))
+                       objects, tuple(arrows))
 
 
 def per_object_groupoid(source, target):
@@ -331,7 +350,7 @@ class TestCompositionTable:
 
     @pytest.mark.parametrize("p, seed", [(2, 21), (3, 22)])
     def test_matches_nested_loop_reference(self, p, seed):
-        # Random single corruptions of small groupoids over GF(p), the
+        # Random 1-8-fold corruptions of small groupoids over GF(p), the
         # abelian zero-boundary ones among them, where every arrow is a loop.
         field = FieldSpec.prime(p)
         names = {"X_triv", "aff_on_line", "aff_on_line_zero", "aff_on_plane"}
@@ -496,6 +515,46 @@ class TestGeneratedGroupoids:
         empty = HomGroupoid(pool[0], pool[0], (), ())
         assert _groupoid_document(empty, []) \
             == json.dumps({"objects": [], "arrows": [], "classes": []}, indent=2)
+
+    @pytest.mark.parametrize("p, seed, laws, classes", [
+        (2, 101,
+         "513749c0ff9ddac71bb10c9c285dd828c76350eb2f40cae195274cd4a33ed7b4",
+         "5e8311d047aeeb770c50c94df4bda42b8c1d3d77acf40d56c418c462c4d6117a"),
+        (3, 102,
+         "b5a36469129c1bde8166e4864306b7b2e457d24ba78d6bb665efd1894c650329",
+         "5232e53765d02d29b99a1d400ee8ce5c6ba0add80c822dacd2a4565910a17d06"),
+        (5, 103,
+         "a78e08799409b3064f84968ca0610d38f5858c809c9b6d0c365fb8089525799b",
+         "dc8e7a47796f4398a795dbedcec65eaf88269715614d89d09e38a4bf2a1a0923")])
+    def test_corrupted_outcomes_are_pinned(self, p, seed, laws, classes):
+        # sha256 pins of validate_groupoid's checks and failures, and of
+        # homotopy_classes' classes or InvariantError report, on generated
+        # groupoids and their 1-8-fold corruptions.  The pins were taken
+        # from an explicit pass over every composable triple, two lookups
+        # per unit and inverse law and classes by union-find, so reading
+        # the laws off the table moves no outcome.
+        pool = self.pool(p, seed)
+        rng = random.Random(seed)
+        reports, partitions = [], []
+        for a, b in [(a, b) for a in pool for b in pool if self.small(a, b)]:
+            g = build_hom_groupoid(a, b)
+            if not 2 <= len(g.arrows) <= 160:
+                continue
+            for case in [g] + [corrupt(g, rng) for _ in range(4)]:
+                report = validate_groupoid(case)
+                reports.append([report.checks, [
+                    [f.check, f.indices, str(f.lhs), str(f.rhs)]
+                    for f in report.failures]])
+                try:
+                    partitions.append(homotopy_classes(case))
+                except InvariantError as err:
+                    partitions.append(err.report.lines())
+
+        def digest(outcomes):
+            return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert len(reports) > 100
+        assert any(r[1] for r in reports) and not all(r[1] for r in reports)
+        assert (digest(reports), digest(partitions)) == (laws, classes)
 
 
 class TestHomotopyClasses:
