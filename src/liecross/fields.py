@@ -52,18 +52,32 @@ def same_field(a: "FieldSpec", b: "FieldSpec") -> bool:
     return a is b or a == b
 
 
+# Miller-Rabin on the first twelve primes is exact below 3.18e23; moduli are
+# capped well inside that at 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MODULUS_LIMIT = 1 << 64
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality, exact for every n below 3.18e23."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -79,6 +93,8 @@ class FieldSpec:
             if self.p is not None:
                 raise ValueError("rational field takes no modulus")
         elif self.kind == PRIME:
+            if self.p is not None and self.p >= _MODULUS_LIMIT:
+                raise ValueError(f"prime modulus must be below 2^64, got {self.p}")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"prime field needs a prime modulus, got {self.p}")
         else:

@@ -1,17 +1,18 @@
 """Exhaustive enumeration over prime fields and the homotopy groupoid.
 
 Morphism enumeration does not walk the raw product of both matrix spaces.
-Each component space is scanned once for the Lie-morphism property (the scan
-and its survivors' residue rows are cached per algebra pair), survivors are
+Each component space is scanned once for the Lie-morphism property (its
+survivors' residue rows are cached per algebra pair), survivors are
 joined on the boundary-square condition via a bucket key, and only joined
 pairs get the equivariance check.  The output order still matches the
 odometer over concatenated (f1, f0) entries, so results are identical to a
 full product scan.
 
-All kernel and join work happens on plain integer residues.  Both
-enumerations return a LazySequence of the accepted indices: exact Scalar
-objects, and the CrossedMorphism or Derivation around them, are built on
-access.
+All kernel and join work happens on plain integer residues, and survivors
+stay residue rows until a result item is built: both enumerations return a
+LazySequence whose LinearMaps of exact Scalars, and the CrossedMorphism or
+Derivation around them, are built on access.  Equal matrices in one result
+share one LinearMap.
 
 build_hom_groupoid scans derivations once per homotopy class, at the class's
 first object f.  Arrows compose by adding derivations and f => g by d_g has
@@ -132,43 +133,6 @@ class LazySequence(Sequence):
             yield item
 
 
-def _row_decoder(p: int, rows: int, cols: int,
-                 make_row: Callable[[list[int]], tuple]) -> Callable[[int], tuple]:
-    """index -> the rows of the rows x cols matrix it names.
-
-    Row r is base-p digit block r of the index.  make_row turns a block's
-    digits into a row; survivors repeat rows a lot, so each distinct row is
-    made once and shared by every matrix that has it.
-    """
-    width = p ** cols
-    shifts = [width ** (rows - 1 - r) for r in range(rows)]
-    made: dict[int, tuple] = {}
-
-    def rows_of(index: int) -> tuple:
-        out = []
-        for shift in shifts:
-            value = index // shift % width
-            row = made.get(value)
-            if row is None:
-                row = made[value] = make_row(decode(value, p, cols))
-            out.append(row)
-        return tuple(out)
-    return rows_of
-
-
-def _map_builder(field: FieldSpec, rows: int, cols: int) -> Callable[[int], LinearMap]:
-    """index -> the LinearMap it names, its digits lowered to the field's scalars."""
-    lower = field._lower
-    rows_of = _row_decoder(field.p, rows, cols,
-                           lambda digits: tuple(map(lower, digits)))
-    return lambda index: LinearMap(field, rows, cols, rows_of(index))
-
-
-def _transpose(m: Rows, cols: int) -> Rows:
-    """The transpose of a matrix with the given column count (it may have no rows)."""
-    return tuple(zip(*m)) if m else ((),) * cols
-
-
 class _Memo(dict):
     """key -> fn(key), computed on the first lookup of each key."""
 
@@ -179,6 +143,27 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self._fn(key)
         return value
+
+
+def _row_decoder(p: int, rows: int, cols: int) -> Callable[[int], Rows]:
+    """index -> the residue rows of the rows x cols matrix it names: row r is
+    base-p digit block r of the index, each distinct block decoded once."""
+    width = p ** cols
+    shifts = [width ** (rows - 1 - r) for r in range(rows)]
+    made = _Memo(lambda value: tuple(decode(value, p, cols))).__getitem__
+    return lambda index: tuple([made(index // shift % width) for shift in shifts])
+
+
+def _map_maker(field: FieldSpec, rows: int, cols: int) -> _Memo:
+    """Residue rows -> the rows x cols LinearMap they name over field: each
+    distinct row is lowered once and each distinct matrix makes one map."""
+    lowered = _Memo(lambda row: tuple(map(field._lower, row))).__getitem__
+    return _Memo(lambda m: LinearMap(field, rows, cols, tuple(map(lowered, m))))
+
+
+def _transpose(m: Rows, cols: int) -> Rows:
+    """The transpose of a matrix with the given column count (it may have no rows)."""
+    return tuple(zip(*m)) if m else ((),) * cols
 
 
 def _weights(rows: int, cols: int, p: int) -> list[list[int]]:
@@ -210,18 +195,16 @@ def _column_shares(a: Rows, weights: list[list[int]], cols: int, p: int) -> list
 
 
 @lru_cache(maxsize=64)
-def _lie_morphism_scan(dom: LieAlgebra,
-                       cod: LieAlgebra) -> tuple[tuple[int, ...], tuple[Rows, ...]]:
+def _lie_morphism_scan(dom: LieAlgebra, cod: LieAlgebra) -> tuple[Rows, ...]:
     """Cached full scan of Lie morphisms dom -> cod over their prime field:
-    the surviving indices and, position for position, their matrices as
-    residue rows.  Algebra equality covers the field, the dimension and the
-    tensor, so equal pairs share one entry."""
+    the survivors' matrices as residue rows, in odometer order.  Algebra
+    equality covers the field, the dimension and the tensor, so equal pairs
+    share one entry."""
     p = dom.field.p
-    found = tuple(_kernels.scan_lie_morphisms(
+    found = _kernels.scan_lie_morphisms(
         p, _flat_structure(dom), _flat_structure(cod), cod.dim, dom.dim,
-        0, p ** (cod.dim * dom.dim)))
-    rows_of = _row_decoder(p, cod.dim, dom.dim, tuple)
-    return found, tuple([rows_of(index) for index in found])
+        0, p ** (cod.dim * dom.dim))
+    return tuple(map(_row_decoder(p, cod.dim, dom.dim), found))
 
 
 def _acting_matrix(action: LieAction, coords) -> Rows:
@@ -252,8 +235,8 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     _check_budget(p ** (dm2 * dm), budget, "f1 component scan")
     _check_budget(p ** (dp2 * dp), budget, "f0 component scan")
 
-    idx1s, f1s = _lie_morphism_scan(source.m_algebra, target.m_algebra)
-    idx0s, f0s = _lie_morphism_scan(source.p_algebra, target.p_algebra)
+    f1s = _lie_morphism_scan(source.m_algebra, target.m_algebra)
+    f0s = _lie_morphism_scan(source.p_algebra, target.p_algebra)
 
     # The boundary square boundary' . f1 = f0 . boundary, as a bucket join
     # on the code of each side: column j of boundary' . f1 depends on column
@@ -294,9 +277,8 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     lhs_side = [_row_shares(_acting_matrix(source.action, e), dm, equivariance, p)
                 for e in basis]
     rhs_side = [_column_shares(mat, equivariance, dm, p) for mat in acting_ids]
-    accepted1: list[int] = []
-    accepted0: list[int] = []
-    for idx1, f1, key in zip(idx1s, f1s, f1_keys):
+    out1, out0 = [], []  # the survivors' f1 and f0 rows, position for position
+    for f1, key in zip(f1s, f1_keys):
         bucket = buckets.get(key)
         if bucket is None:
             continue
@@ -315,14 +297,14 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
             else:
                 ok.add(rid)
         if ok:
-            passed = [idx0s[k0] for k0 in bucket if rho_of[k0] in ok]
-            accepted1 += [idx1] * len(passed)
-            accepted0 += passed
+            passed = [f0s[k0] for k0 in bucket if rho_of[k0] in ok]
+            out1 += [f1] * len(passed)
+            out0 += passed
 
-    f1_map = _map_builder(field, dm2, dm)
-    f0_map = _map_builder(field, dp2, dp)
-    return LazySequence(len(accepted1), lambda k: CrossedMorphism(
-        source, target, f1_map(accepted1[k]), f0_map(accepted0[k])))
+    f1_map = _map_maker(field, dm2, dm)
+    f0_map = _map_maker(field, dp2, dp)
+    return LazySequence(len(out1), lambda k: CrossedMorphism(
+        source, target, f1_map[out1[k]], f0_map[out0[k]]))
 
 
 def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
@@ -342,8 +324,9 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
     found = _kernels.scan_derivations(
         p, _flat_structure(f.source.p_algebra), f._f0_action,
         _flat_structure(f.target.m_algebra), rows, cols, 0, p ** (rows * cols))
-    d_map = _map_builder(field, rows, cols)
-    return LazySequence(len(found), lambda k: Derivation(f, d_map(found[k])))
+    rows_of = _row_decoder(p, rows, cols)
+    d_map = _map_maker(field, rows, cols)
+    return LazySequence(len(found), lambda k: Derivation(f, d_map[rows_of(found[k])]))
 
 
 def _module_report(source: CrossedModule, target: CrossedModule) -> ValidationReport:
@@ -416,12 +399,8 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
     no effect.
     """
     objects, scans = _class_scans(source, target, budget)
-    field = source.field
-    p = field.p
-    shape = (target.m_algebra.dim, source.p_algebra.dim)
-    # Equal d rows share one LinearMap, whose rows come from one lowered-row cache.
-    lowered = _Memo(lambda row: tuple(map(field._lower, row)))
-    maps = _Memo(lambda d: LinearMap(field, *shape, tuple(map(lowered.__getitem__, d))))
+    p = source.field.p
+    d_map = _map_maker(source.field, target.m_algebra.dim, source.p_algebra.dim)
     minus = _Memo(lambda rs: tuple([(a - b) % p for a, b in zip(*rs)]))
     # out_of[j] lists (d rows, target) of the arrows at object j.
     out_of: list[list[tuple[Rows, int]]] = [[] for _ in objects]
@@ -432,7 +411,7 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
         for j, d_j in anchors.items():
             out_of[j] = sorted((tuple(map(minus.__getitem__, zip(d, d_j))), h)
                                for d, h in reach)
-    arrows = [Arrow(j, h, Derivation(g, maps[d]))
+    arrows = [Arrow(j, h, Derivation(g, d_map[d]))
               for j, g in enumerate(objects) for d, h in out_of[j]]
     return HomGroupoid(source, target, tuple(objects), tuple(arrows))
 
@@ -484,12 +463,17 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
     pos = {t: k for out in out_of for k, t in enumerate(out)}
 
     # table[t][k] composes t with out_of[arrows[t].dst][k]; None if missing.
+    # d1 + d2 is summed on raw rows, each distinct pair of rows once.
+    lift, lower = source.field._lift, source.field._lower
+    plus = _Memo(lambda rs: tuple([lift(lower(x + y)) for x, y in zip(*rs)]))
     table: list[list[int | None]] = [[] for _ in arrows]
     for t1 in kept:
         a, row = arrows[t1], table[t1]
+        d1 = a.derivation.d._raw_rows
         for t2 in out_of[a.dst]:
             b = arrows[t2]
-            t12 = by_key.get((a.src, (a.derivation.d + b.derivation.d)._raw_rows))
+            d12 = tuple(map(plus.__getitem__, zip(d1, b.derivation.d._raw_rows)))
+            t12 = by_key.get((a.src, d12))
             if t12 is None or arrows[t12].dst != b.dst:
                 report.fail("associativity", (t1 + 1, t2 + 1),
                             "no composite arrow", f"d1 + d2 into objects[{b.dst}]")

@@ -17,6 +17,7 @@ from liecross import (
     LieAction,
     LieAlgebra,
     LinearMap,
+    build_hom_groupoid,
     enumerate_derivations,
     enumerate_morphisms,
     identity_morphism,
@@ -238,6 +239,21 @@ class TestLazyResults:
         assert built == {"morphisms": 1, "derivations": 1}
         assert list(found) == list(found)
         assert built == {"morphisms": 15, "derivations": 1}
+
+    def test_equal_matrices_in_a_result_are_one_map(self):
+        # With M = 0 every morphism has the same empty f1.
+        line = lines_module(GF3, 0, 1)
+        found = enumerate_morphisms(line, line)
+        assert len(found) == 3 and all(f.f1 is found[0].f1 for f in found)
+        xaff = battery.x_aff(GF3)
+        found = enumerate_morphisms(xaff, xaff)
+        arrows = build_hom_groupoid(xaff, xaff).arrows
+        f1s = [f.f1 for f in found]
+        ds = [a.derivation.d for a in arrows]
+        assert len(set(f1s)) < len(f1s) and len(set(ds)) < len(ds)
+        for maps in (f1s, [f.f0 for f in found], ds,
+                     [h.d for h in enumerate_derivations(found[0])]):
+            assert len({id(m) for m in maps}) == len(set(maps))
 
 
 class TestOrderingAndDeterminism:

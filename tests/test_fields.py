@@ -1,13 +1,17 @@
 """Exact scalar arithmetic over the rationals and prime fields."""
 
+import io
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from liecross import FieldSpec, LinearMap, Scalar, Vector
+from liecross.cli import run_command
 from liecross.errors import FieldMismatchError
+from liecross.fields import _is_prime
 
 QQ = FieldSpec.rational()
 GF5 = FieldSpec.prime(5)
@@ -28,6 +32,45 @@ class TestFieldSpec:
     def test_rejects_non_primes(self, n):
         with pytest.raises(ValueError):
             FieldSpec.prime(n)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(-3, 20_000) if _is_prime(n)] \
+            == [n for n in range(-3, 20_000) if trial(n)]
+
+    @pytest.mark.parametrize("n", [
+        # Carmichael numbers, then strong pseudoprimes to the first few bases.
+        561, 1105, 41041, 825265, 2047, 3215031751, 3825123056546413051])
+    def test_rejects_pseudoprimes(self, n):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="prime modulus"):
+            FieldSpec.prime(n)
+
+    @pytest.mark.parametrize("p", [2 ** 61 - 1, 18446744073709551557])
+    def test_large_primes_are_decided_fast(self, p):
+        start = time.perf_counter()
+        assert FieldSpec.prime(p).p == p
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("n", [
+        # 318665857834031151167461 is composite but passes all twelve bases.
+        2 ** 64, 2 ** 64 + 13, 318665857834031151167461, 2 ** 89 - 1])
+    def test_rejects_moduli_from_2_64(self, n):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            FieldSpec.prime(n)
+
+    def test_cli_reports_huge_modulus_at_field(self, tmp_path):
+        path = tmp_path / "huge.yaml"
+        for p, code, line in [
+                (2 ** 61 - 1, 0, "span_e2 jacobi PASS"),
+                (2 ** 64 + 13, 2, f"error: field: prime modulus must be below "
+                                  f"2^64, got {2 ** 64 + 13}")]:
+            path.write_text(f"field: GF({p})\nalgebras:\n  span_e2:\n"
+                            "    dim: 1\n    brackets: []\n")
+            out = io.StringIO()
+            assert run_command(["validate", str(path)], out=out) == code
+            assert line in out.getvalue().splitlines()
 
     def test_elements_enumerates_residues(self):
         assert [s.num for s in GF5.elements()] == [0, 1, 2, 3, 4]
