@@ -4,9 +4,11 @@ Morphism enumeration does not walk the raw product of both matrix spaces.
 Each component space is scanned once for the Lie-morphism property (its
 survivors' residue rows are cached per algebra pair), survivors are
 joined on the boundary-square condition via a bucket key, and only joined
-pairs get the equivariance check.  The output order still matches the
-odometer over concatenated (f1, f0) entries, so results are identical to a
-full product scan.
+pairs get the equivariance check, on the coordinates of M' where a defect in
+ker boundary' can show (none when boundary' is injective; see
+enumerate_morphisms).  The output order still matches the odometer over
+concatenated (f1, f0) entries, so results are identical to a full product
+scan.
 
 All kernel and join work happens on plain integer residues, and survivors
 stay residue rows until a result item is built: both enumerations return a
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import getitem, mul
+from operator import getitem, itemgetter, mul
 
 from . import _kernels
 from ._kernels import decode
@@ -53,7 +55,7 @@ from .errors import (
 )
 from .fields import FieldSpec, same_field
 from .homotopy import Derivation, shift_morphism
-from .linalg import LinearMap
+from .linalg import LinearMap, _row_reduce
 from .morphisms import CrossedMorphism, validate_crossed_morphism
 from .validation import ValidationReport
 
@@ -207,11 +209,33 @@ def _lie_morphism_scan(dom: LieAlgebra, cod: LieAlgebra) -> tuple[Rows, ...]:
     return tuple(map(_row_decoder(p, cod.dim, dom.dim), found))
 
 
-def _acting_matrix(action: LieAction, coords) -> Rows:
-    """The residue matrix of v = sum_a coords[a] e_a acting on the acted
-    module: entry (r, b) is the r-th coordinate of v . e_b."""
+def _acting_matrix(action: LieAction, coords, rows) -> Rows:
+    """The given rows of the residue matrix of v = sum_a coords[a] e_a acting
+    on the acted module: entry (r, b) is the r-th coordinate of v . e_b."""
     p = action.field.p
-    return tuple(tuple(v % p for v in row) for row in action._matrix(coords))
+    matrix = action._matrix(coords)
+    return tuple(tuple(v % p for v in matrix[r]) for r in rows)
+
+
+def _alternating(algebra: LieAlgebra) -> bool:
+    """Whether the bracket tensor has c[i][i] = 0 and c[i][j] = -c[j][i]."""
+    s, n, p = _flat_structure(algebra), algebra.dim, algebra.field.p
+    return all((s[(i * n + j) * n + k] + (i != j) * s[(j * n + i) * n + k]) % p == 0
+               for i in range(n) for j in range(i, n) for k in range(n))
+
+
+def _defect_rows(source: CrossedModule, target: CrossedModule) -> list[int]:
+    """The coordinates of M' on which equivariance is compared: the free
+    columns of boundary''s echelon form, or all of them unless both modules
+    pass validate_crossed_module and both P brackets alternate."""
+    dm2 = target.m_algebra.dim
+    _, pivots = _row_reduce([list(row) for row in target.boundary.entries],
+                            target.field)
+    modules = (source,) if target == source else (source, target)
+    if pivots and not all(_alternating(x.p_algebra) and validate_crossed_module(x).ok
+                          for x in modules):
+        return list(range(dm2))
+    return [r for r in range(dm2) if r not in pivots]
 
 
 def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
@@ -224,6 +248,18 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     inputs.  The result is a LazySequence: each morphism is built on first
     access.  workers is accepted for compatibility and has no effect: the
     scans run in the calling thread.
+
+    Equivariance, f1(p . m) = f0(p) . f1(m), is compared only where its
+    defect can be nonzero.  For a pair that passes the boundary square,
+    CM1 of both modules gives boundary' f1(p . m) = f0 [p, boundary m] =
+    [f0 p, boundary' f1 m] = boundary'(f0 p . f1 m), since f0 is a Lie
+    morphism on every ordered pair: the scan checks i < j, and alternating
+    P brackets give the rest.  So the defect lies in ker boundary', and a
+    kernel vector is zero exactly when its coordinates at the free columns
+    of boundary''s echelon form are: only those rows are compared, and
+    none when boundary' is injective.  If a module fails
+    validate_crossed_module or a P bracket does not alternate, every row
+    is.  Results and their order are the same either way.
     """
     if not same_field(source.field, target.field):
         raise FieldMismatchError("modules over different fields")
@@ -247,59 +283,62 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     f1_side = _column_shares(target.boundary._raw_rows, square, dm, p)
     f0_side = _row_shares(source.boundary._raw_rows, dm, square, p)
     f1_keys = [sum(map(getitem, f1_side, zip(*f1))) for f1 in f1s]
-    wanted = set(f1_keys)
-    buckets: dict[int, list[int]] = {}
-    for k0, f0 in enumerate(f0s):
-        key = sum(map(getitem, f0_side, f0))
-        if key in wanted:
-            buckets.setdefault(key, []).append(k0)
-
-    # rho'(f0 e_i), the action of column i of f0 on M', only for the f0 in a
-    # bucket.  Each distinct action matrix gets an id, and each distinct
-    # rho' (a tuple of action ids) gets an id of its own.
-    acting_ids: dict[Rows, int] = {}
-    acting = _Memo(lambda col: acting_ids.setdefault(
-        _acting_matrix(target.action, col), len(acting_ids))).__getitem__
-    rho_ids: dict[tuple[int, ...], int] = {}
-    rho_of = [0] * len(f0s)
-    for bucket in buckets.values():
-        for k0 in bucket:
-            rho_of[k0] = rho_ids.setdefault(
-                tuple(map(acting, _transpose(f0s[k0], dp))), len(rho_ids))
-    rhos = list(rho_ids)
+    f0_keys = map(sum, zip([0] * len(f0s), *[map(shares.__getitem__, map(
+        itemgetter(r), f0s)) for r, shares in enumerate(f0_side)]))
+    buckets: dict[int, list[int]] = {key: [] for key in f1_keys}
+    for k0, key in enumerate(f0_keys):
+        if key in buckets:
+            buckets[key].append(k0)
 
     # Equivariance, f1 . rho(e_i) = rho'(f0 e_i) . f1 for every basis vector
-    # e_i of P, compared on codes: the left side row by row of f1, the right
-    # side column by column.  Each (i, action id) verdict is shared by every
+    # e_i of P, compared on codes and only on the rows of M' where a defect
+    # can show (_defect_rows): none when boundary' is injective.  The left
+    # side is coded row by row of f1, the right side column by column.
+    # rho'(f0 e_i) is built only for the f0 in a bucket; each distinct
+    # action matrix gets an id, each distinct rho' (a tuple of action ids)
+    # an id of its own, and each (i, action id) verdict is shared by every
     # f0 of the bucket that needs it.
-    equivariance = _weights(dm2, dm, p)
-    basis = [tuple(int(a == i) for a in range(dp)) for i in range(dp)]
-    lhs_side = [_row_shares(_acting_matrix(source.action, e), dm, equivariance, p)
-                for e in basis]
-    rhs_side = [_column_shares(mat, equivariance, dm, p) for mat in acting_ids]
+    rows = _defect_rows(source, target)
+    if rows:
+        acting_ids: dict[Rows, int] = {}
+        acting = _Memo(lambda col: acting_ids.setdefault(
+            _acting_matrix(target.action, col, rows), len(acting_ids))).__getitem__
+        rho_ids: dict[tuple[int, ...], int] = {}
+        rho_of = [0] * len(f0s)
+        for bucket in buckets.values():
+            for k0 in bucket:
+                rho_of[k0] = rho_ids.setdefault(
+                    tuple(map(acting, _transpose(f0s[k0], dp))), len(rho_ids))
+        rhos = list(rho_ids)
+        equivariance = _weights(len(rows), dm, p)
+        basis = [tuple(int(a == i) for a in range(dp)) for i in range(dp)]
+        lhs_side = [_row_shares(_acting_matrix(source.action, e, range(dm)), dm,
+                                equivariance, p) for e in basis]
+        rhs_side = [_column_shares(mat, equivariance, dm, p) for mat in acting_ids]
     out1, out0 = [], []  # the survivors' f1 and f0 rows, position for position
     for f1, key in zip(f1s, f1_keys):
-        bucket = buckets.get(key)
-        if bucket is None:
+        bucket = buckets[key]
+        if not bucket:
             continue
-        columns = tuple(zip(*f1))
-        lhs = [sum(map(getitem, shares, f1)) for shares in lhs_side]
-        verdicts: dict[tuple[int, int], bool] = {}
-        ok = set()
-        for rid in {rho_of[k0] for k0 in bucket}:
-            for i, mid in enumerate(rhos[rid]):
-                holds = verdicts.get((i, mid))
-                if holds is None:
-                    holds = verdicts[i, mid] = (
-                        sum(map(getitem, rhs_side[mid], columns)) == lhs[i])
-                if not holds:
-                    break
-            else:
-                ok.add(rid)
-        if ok:
-            passed = [f0s[k0] for k0 in bucket if rho_of[k0] in ok]
-            out1 += [f1] * len(passed)
-            out0 += passed
+        if rows:
+            columns = tuple(zip(*f1))
+            lhs = [sum(map(getitem, shares, map(f1.__getitem__, rows)))
+                   for shares in lhs_side]
+            verdicts: dict[tuple[int, int], bool] = {}
+            ok = set()
+            for rid in {rho_of[k0] for k0 in bucket}:
+                for i, mid in enumerate(rhos[rid]):
+                    holds = verdicts.get((i, mid))
+                    if holds is None:
+                        holds = verdicts[i, mid] = (
+                            sum(map(getitem, rhs_side[mid], columns)) == lhs[i])
+                    if not holds:
+                        break
+                else:
+                    ok.add(rid)
+            bucket = [k0 for k0 in bucket if rho_of[k0] in ok]
+        out1 += [f1] * len(bucket)
+        out0 += map(f0s.__getitem__, bucket)
 
     f1_map = _map_maker(field, dm2, dm)
     f0_map = _map_maker(field, dp2, dp)
@@ -343,16 +382,16 @@ def _module_report(source: CrossedModule, target: CrossedModule) -> ValidationRe
 
 def _class_scans(source: CrossedModule, target: CrossedModule,
                  budget: int) -> tuple[Sequence[CrossedMorphism],
-                                       list[list[tuple[Rows, int]]]]:
+                                       list[list[tuple[LinearMap, int]]]]:
     """The objects, and one derivation scan per homotopy class.
 
     Classes come in the order of their first object f, where the scan runs:
     one enumerate_derivations and one shift_morphism per derivation, each
     shifted map looked up among the objects.  A scan is the list of
-    (d rows, target index) of the derivations at f, in odometer order; its
-    targets are f's class.  A missing target (the modules break an axiom
-    they were not validated against) raises InvariantError with the
-    target's morphism report.  After the first scan both modules are
+    (d, target index) of the derivations at f, in odometer order, with d
+    the scan's own LinearMap; its targets are f's class.  A missing target
+    (the modules break an axiom they were not validated against) raises
+    InvariantError with the target's morphism report.  After the first scan both modules are
     validated: the four algebras, the actions and the crossed-module
     axioms.  A failure raises InvariantError with the merged report.
     """
@@ -372,7 +411,7 @@ def _class_scans(source: CrossedModule, target: CrossedModule,
                 raise InvariantError(
                     f"a homotopy target at object {i} is missing from the "
                     "object list", validate_crossed_morphism(g))
-            reach.append((der.d._raw_rows, j))
+            reach.append((der.d, j))
         if i == 0:
             report = _module_report(source, target)
             if not report.ok:
@@ -395,8 +434,9 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
     before any arrow is derived.  Every other member g of the class,
     reached from f by some d_g, gets the derivations d_h - d_g for d_h in
     Der(f), each ending where d_h does.  Each object's arrows are sorted by
-    their rows, the odometer order of a scan at that object.  workers has
-    no effect.
+    their rows, the odometer order of a scan at that object.  The scans'
+    maps are reused, so each distinct d is built once at most per scan.
+    workers has no effect.
     """
     objects, scans = _class_scans(source, target, budget)
     p = source.field.p
@@ -405,6 +445,8 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
     # out_of[j] lists (d rows, target) of the arrows at object j.
     out_of: list[list[tuple[Rows, int]]] = [[] for _ in objects]
     for reach in scans:
+        d_map.update((d._raw_rows, d) for d, _ in reach)
+        reach = [(d._raw_rows, j) for d, j in reach]
         anchors: dict[int, Rows] = {}
         for d, j in reach:
             anchors.setdefault(j, d)

@@ -4,11 +4,12 @@ Small named algebras, the two standard crossed modules used throughout the
 tests, and a generator battery over GF(5): inclusion modules of every ideal
 of affine2 and of the 3-dimensional Heisenberg algebra, a few zero-boundary
 modules over abelian coefficients, and the trivial module.  lines_module
-gives abelian modules of any dimensions, 0 included; change_basis gives
-isomorphic copies in seeded random bases.  raw_values, reduced and
-numbers serve the parity tests, whose reference never touches Scalar:
-Fractions over QQ (non-unit denominators included), plain ints reduced mod
-p over GF(p).
+gives abelian modules of any dimensions, 0 included; partial_kernel_modules
+gives modules whose boundary has a kernel strictly between 0 and M;
+change_basis gives isomorphic copies in seeded random bases.  raw_values,
+reduced and numbers serve the parity tests, whose reference never touches
+Scalar: Fractions over QQ (non-unit denominators included), plain ints
+reduced mod p over GF(p).
 """
 
 import random
@@ -70,6 +71,40 @@ def lines_module(field: FieldSpec, m: int, p: int) -> CrossedModule:
                 else LinearMap.zero(field, p, m))
     return CrossedModule(f"lines_{m}_{p}", m_alg, p_alg, boundary,
                          LieAction.zero(p_alg, m_alg))
+
+
+def h3_over_abelianization(field: FieldSpec) -> CrossedModule:
+    """h3 -> F^2, the quotient by z, with e1 and e2 of the plane acting on h3
+    as ad x and ad y, the brackets of their lifts: ker boundary = span(z)."""
+    h3 = heisenberg3(field)
+    plane = LieAlgebra.abelian("h3_ab", field, 2)
+    action = LieAction.from_sparse(plane, h3, [(1, 2, {3: 1}), (2, 1, {3: -1})])
+    return CrossedModule("h3_over_ab", h3, plane,
+                         LinearMap.from_rows(field, [[1, 0, 0], [0, 1, 0]]), action)
+
+
+def abelian_into_centre(p_algebra: LieAlgebra, boundary_rows,
+                        name: str) -> CrossedModule:
+    """Abelian M with the zero action and the given boundary, whose columns
+    must lie in the centre of p_algebra; dim M is the column count."""
+    field = p_algebra.field
+    boundary = LinearMap.from_rows(field, boundary_rows)
+    m_alg = LieAlgebra.abelian(f"{name}_m", field, boundary.cols)
+    return CrossedModule(name, m_alg, p_algebra, boundary,
+                         LieAction.zero(p_algebra, m_alg))
+
+
+def partial_kernel_modules(field: FieldSpec) -> list[CrossedModule]:
+    """Crossed modules whose boundary has a kernel strictly between 0 and M."""
+    line = LieAlgebra.abelian("line", field, 1)
+    plane = LieAlgebra.abelian("plane", field, 2)
+    return [
+        h3_over_abelianization(field),
+        abelian_into_centre(heisenberg3(field), [[0, 0], [0, 0], [1, 2]], "z_rank1"),
+        abelian_into_centre(line, [[1, 1]], "line_rank1"),
+        abelian_into_centre(plane, [[1, 0, 1], [0, 1, 1]], "plane_rank2"),
+        abelian_into_centre(plane, [[1, 2, 0], [2, 4, 0]], "plane_rank1"),
+    ]
 
 
 def _rref_basis(rows: list[tuple[int, ...]], p: int) -> tuple[tuple[int, ...], ...]:

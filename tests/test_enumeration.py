@@ -3,6 +3,7 @@ independent brute-force oracle."""
 
 import random
 from collections.abc import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +22,15 @@ from liecross import (
     enumerate_derivations,
     enumerate_morphisms,
     identity_morphism,
+    inclusion_crossed_module,
+    validate_crossed_module,
 )
 from liecross.errors import (
     BudgetExceededError,
     FieldMismatchError,
     FiniteFieldRequiredError,
 )
-from liecross import _kernels, groupoid
+from liecross import _kernels, algebras, groupoid
 from liecross.groupoid import _flat_structure
 
 GF2 = FieldSpec.prime(2)
@@ -169,6 +172,106 @@ class TestGeneratedJoinParity:
         with_zero = [f0 for f1, f0 in ours if f1 == zero]
         with_ident = [f0 for f1, f0 in ours if f1 == ident]
         assert with_ident and len(with_ident) < len(with_zero)
+
+
+class TestEquivarianceRows:
+    """Equivariance is compared only on the coordinates of M' that can carry
+    a defect, the free columns of boundary''s echelon form, unless a module
+    breaks cm1 or a P bracket does not alternate: then on all of them."""
+
+    @pytest.mark.parametrize("p, seed", [(2, 31), (3, 32), (5, 33)])
+    def test_partial_kernels_match_oracle(self, p, seed):
+        # Targets whose boundary kernel is neither 0 nor all of M', among
+        # the battery, in seeded random bases.
+        field = FieldSpec.prime(p)
+        partial = battery.partial_kernel_modules(field)
+        pool = [battery.change_basis(x, seed * 100 + k)
+                for k, x in enumerate(battery.battery_modules(p) + partial)]
+        pairs = [(a, b) for a in pool for b in pool if morphism_space(a, b) <= 1024]
+        names = {x.name for x in partial}
+        checked = rejected = 0
+        for a, b in pairs:
+            ours = as_pairs(enumerate_morphisms(a, b))
+            assert ours == oracle.enumerate_morphisms(oracle_xmod(a), oracle_xmod(b)), \
+                (a.name, b.name)
+            if b.name in names:
+                checked += 1
+                rejected += len(ours) < len(square_pairs(a, b))
+        # Equivariance rejects a pair that passes the square on some of them.
+        assert checked >= 9 and rejected >= 2
+
+    @staticmethod
+    def gate_breakers(field):
+        """Modules with an injective boundary that break what the row
+        reduction relies on: cm1, or an alternating P bracket."""
+        line = LieAlgebra.abelian("line", field, 1)
+        scaling = CrossedModule("scaling", line, line, LinearMap.identity(field, 1),
+                                LieAction.from_sparse(line, line, [(1, 1, {1: 1})]))
+        # [e, e] = e: cm1 and cm2 hold for the adjoint action, but the scans
+        # check only i < j pairs, so f0 need not be a Lie morphism at (1, 1).
+        idem = LieAlgebra("idem", field, 1, (((1,),),))
+        idempotent = CrossedModule("idempotent", idem, idem,
+                                   LinearMap.identity(field, 1), LieAction.adjoint(idem))
+        solver = algebras.span_solver
+
+        def doubled(vectors, field, dim):
+            solve = solver(vectors, field, dim)
+            return lambda w: None if (c := solve(w)) is None else c + c
+
+        aff = battery.affine2(field)
+        with mock.patch.object(algebras, "span_solver", doubled), \
+                mock.patch.object(algebras, "_verified", lambda xmod: xmod):
+            doubled_ideal = inclusion_crossed_module(aff, [aff.basis(1)], name="doubled")
+        return [scaling, idempotent, doubled_ideal]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_gate_breakers_match_oracle(self, p):
+        field = FieldSpec.prime(p)
+        scaling, idempotent, doubled_ideal = self.gate_breakers(field)
+        assert [validate_crossed_module(x).ok
+                for x in (scaling, idempotent, doubled_ideal)] == [False, True, False]
+        # idempotent's M bracket does not alternate either, so the f1 scan
+        # matches the oracle only where equivariance makes up for it.
+        pool = [scaling, doubled_ideal, battery.x_triv(field), battery.x_aff(field)]
+        pairs = [(a, b) for a in pool for b in pool] + [(idempotent, idempotent)]
+        rejected = 0
+        for a, b in pairs:
+            ours = as_pairs(enumerate_morphisms(a, b))
+            assert ours == oracle.enumerate_morphisms(oracle_xmod(a), oracle_xmod(b)), \
+                (a.name, b.name)
+            rejected += len(ours) < len(square_pairs(a, b))
+        assert rejected >= 4
+
+    def test_injective_boundaries_build_no_action_matrix(self, monkeypatch):
+        # With boundary' injective no equivariance row is left, so no action
+        # matrix is built; a zero boundary still compares every row.
+        calls = []
+        real = groupoid._acting_matrix
+        monkeypatch.setattr(groupoid, "_acting_matrix",
+                            lambda *args: calls.append(args) or real(*args))
+        modules = {x.name: x for x in battery.battery_modules(5)}
+        inclusions = [x for name, x in modules.items() if "_ideal_" in name]
+        assert len(inclusions) == 12 and "h3_ideal_8" in modules
+        for x in inclusions:
+            assert len(enumerate_morphisms(x, x)) > 0, x.name
+        assert calls == []
+        assert len(enumerate_morphisms(modules["aff_on_plane"],
+                                       modules["aff_on_plane"])) > 0
+        assert calls
+
+
+def square_pairs(source, target):
+    """The (f1, f0) pairs of Lie morphisms that pass the boundary square,
+    whether or not they are equivariant, by the oracle's own checks on
+    every ordered pair."""
+    x, y = oracle_xmod(source), oracle_xmod(target)
+    unacted = oracle.Xmod(x.p, x.m_dim, x.p_dim, x.m_br, x.p_br,
+                          tuple(tuple((0,) * x.m_dim for _ in range(x.m_dim))
+                                for _ in range(x.p_dim)), x.boundary)
+    inert = oracle.Xmod(y.p, y.m_dim, y.p_dim, y.m_br, y.p_br,
+                        tuple(tuple((0,) * y.m_dim for _ in range(y.m_dim))
+                              for _ in range(y.p_dim)), y.boundary)
+    return oracle.enumerate_morphisms(unacted, inert)
 
 
 class TestLazyResults:
