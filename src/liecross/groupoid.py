@@ -389,16 +389,17 @@ def _class_scans(source: CrossedModule, target: CrossedModule,
     one enumerate_derivations and one shift_morphism per derivation, each
     shifted map looked up among the objects.  A scan is the list of
     (d, target index) of the derivations at f, in odometer order, with d
-    the scan's own LinearMap; its targets are f's class.  A missing target
-    (the modules break an axiom they were not validated against) raises
-    InvariantError with the target's morphism report.  After the first scan both modules are
-    validated: the four algebras, the actions and the crossed-module
-    axioms.  A failure raises InvariantError with the merged report.
+    a LinearMap shared by equal matrices of all scans; its targets are f's
+    class.  A missing target (the modules break an axiom they were not
+    validated against) raises InvariantError with the target's morphism
+    report.  After the first scan both modules are validated: the four
+    algebras, the actions and the crossed-module axioms.  A failure raises
+    InvariantError with the merged report.
     """
     objects = enumerate_morphisms(source, target, budget=budget)
     position = {(f.f1._raw_rows, f.f0._raw_rows): i
                 for i, f in enumerate(objects)}
-    scans = []
+    scans, maps = [], {}
     classed = [False] * len(objects)
     for i, f in enumerate(objects):
         if classed[i]:
@@ -411,7 +412,7 @@ def _class_scans(source: CrossedModule, target: CrossedModule,
                 raise InvariantError(
                     f"a homotopy target at object {i} is missing from the "
                     "object list", validate_crossed_morphism(g))
-            reach.append((der.d, j))
+            reach.append((maps.setdefault(der.d._raw_rows, der.d), j))
         if i == 0:
             report = _module_report(source, target)
             if not report.ok:
@@ -434,9 +435,9 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
     before any arrow is derived.  Every other member g of the class,
     reached from f by some d_g, gets the derivations d_h - d_g for d_h in
     Der(f), each ending where d_h does.  Each object's arrows are sorted by
-    their rows, the odometer order of a scan at that object.  The scans'
-    maps are reused, so each distinct d is built once at most per scan.
-    workers has no effect.
+    their rows, the odometer order of a scan at that object.  The arrows
+    reuse the scans' maps, so an arrow builds a LinearMap only for a d that
+    no scan has.  workers has no effect.
     """
     objects, scans = _class_scans(source, target, budget)
     p = source.field.p
@@ -445,13 +446,12 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
     # out_of[j] lists (d rows, target) of the arrows at object j.
     out_of: list[list[tuple[Rows, int]]] = [[] for _ in objects]
     for reach in scans:
-        d_map.update((d._raw_rows, d) for d, _ in reach)
-        reach = [(d._raw_rows, j) for d, j in reach]
         anchors: dict[int, Rows] = {}
         for d, j in reach:
-            anchors.setdefault(j, d)
+            d_map[d._raw_rows] = d
+            anchors.setdefault(j, d._raw_rows)
         for j, d_j in anchors.items():
-            out_of[j] = sorted((tuple(map(minus.__getitem__, zip(d, d_j))), h)
+            out_of[j] = sorted((tuple(map(minus.__getitem__, zip(d._raw_rows, d_j))), h)
                                for d, h in reach)
     arrows = [Arrow(j, h, Derivation(g, d_map[d]))
               for j, g in enumerate(objects) for d, h in out_of[j]]
