@@ -177,7 +177,8 @@ class TestGeneratedJoinParity:
 class TestEquivarianceRows:
     """Equivariance is compared only on the coordinates of M' that can carry
     a defect, the free columns of boundary''s echelon form, unless a module
-    breaks cm1 or a P bracket does not alternate: then on all of them."""
+    fails validate_crossed_module or a P bracket does not alternate: then on
+    all of them."""
 
     @pytest.mark.parametrize("p, seed", [(2, 31), (3, 32), (5, 33)])
     def test_partial_kernels_match_oracle(self, p, seed):
