@@ -50,14 +50,6 @@ from operator import itemgetter, mul
 BACKEND = "pure"
 
 
-def decode(index: int, p: int, n: int) -> list[int]:
-    """The n base-p digits of index, most significant first."""
-    digits = [0] * n
-    for t in range(n - 1, -1, -1):
-        index, digits[t] = divmod(index, p)
-    return digits
-
-
 def derivation_law(dom_br, act, cod_br, rows, cols, pairs, at=0):
     """Constraint (i, j, r) for (i, j) in pairs and r < rows: the r-th
     coordinate of

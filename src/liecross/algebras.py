@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from ._kernels import Law
 from .errors import (
     FieldMismatchError,
     InvariantError,
@@ -85,21 +84,6 @@ def _flat(field: FieldSpec, tensor: Tensor) -> tuple:
 
 def _flat_structure(algebra: "LieAlgebra") -> tuple:
     return _flat(algebra.field, algebra.structure)
-
-
-class _PartnerLaws(dict):
-    """Compiled laws that pair one object with another, made on first use.
-
-    Keyed by the partner's identity: hashing its tensors would cost more
-    than the law saves.  Each entry holds its partner, so the id cannot be
-    reused while the entry lives.
-    """
-
-    def law(self, partner, make: Callable[[], Law]) -> Law:
-        hit = self.get(id(partner))
-        if hit is None or hit[0] is not partner:
-            hit = self[id(partner)] = (partner, make())
-        return hit[1]
 
 
 def _expand(field: FieldSpec, terms, x: Vector, y: Vector, dim: int) -> Vector:
@@ -303,9 +287,10 @@ class CrossedModule:
         return self.p_algebra.field
 
     @cached_property
-    def _laws(self) -> _PartnerLaws:
-        """The crossed-morphism laws from this module, by target module."""
-        return _PartnerLaws()
+    def _laws(self) -> dict:
+        """The crossed-morphism laws from this module: id(target) ->
+        (target, law), filled by validate_crossed_morphism."""
+        return {}
 
     def __str__(self):
         return (f"{self.name} (module {self.m_algebra.name}, "

@@ -37,7 +37,6 @@ from functools import lru_cache
 from operator import getitem, itemgetter, mul
 
 from . import _kernels
-from ._kernels import decode
 from .algebras import (
     CrossedModule,
     LieAction,
@@ -127,13 +126,6 @@ class LazySequence(Sequence):
             item = items[k] = self._make(k % len(items))
         return item
 
-    def __iter__(self):
-        items, make = self._items, self._make
-        for k, item in enumerate(items):
-            if item is None:
-                item = items[k] = make(k)
-            yield item
-
 
 class _Memo(dict):
     """key -> fn(key), computed on the first lookup of each key."""
@@ -152,7 +144,8 @@ def _row_decoder(p: int, rows: int, cols: int) -> Callable[[int], Rows]:
     base-p digit block r of the index, each distinct block decoded once."""
     width = p ** cols
     shifts = [width ** (rows - 1 - r) for r in range(rows)]
-    made = _Memo(lambda value: tuple(decode(value, p, cols))).__getitem__
+    made = _Memo(lambda value: tuple([value // p ** (cols - 1 - c) % p
+                                      for c in range(cols)])).__getitem__
     return lambda index: tuple([made(index // shift % width) for shift in shifts])
 
 

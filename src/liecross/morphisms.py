@@ -115,8 +115,13 @@ def validate_crossed_morphism(phi: CrossedMorphism,
                               subject: str = "morphism") -> ValidationReport:
     """Check both component morphisms, equivariance and the boundary square."""
     src, dst = phi.source, phi.target
-    if src._laws.law(dst, lambda: _morphism_law(src, dst)).holds(
-            _entries(phi.f1, phi.f0)):
+    # Keyed by the target's identity: hashing its tensors would cost more
+    # than the law saves.  The entry holds its target, so the id cannot be
+    # reused while the entry lives.
+    hit = src._laws.get(id(dst))
+    if hit is None or hit[0] is not dst:
+        hit = src._laws[id(dst)] = (dst, _morphism_law(src, dst))
+    if hit[1].holds(_entries(phi.f1, phi.f0)):
         return ValidationReport(
             subject, ["f1_morphism", "f0_morphism", "equivariance", "square"])
     report = ValidationReport(subject)
