@@ -45,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 
 import yaml
 
-from .algebras import CrossedModule, LieAction, LieAlgebra
+from .algebras import CrossedModule, LieAction, LieAlgebra, validate_lie_algebra
 from .errors import DocumentError, LiecrossError
 from .fields import FieldSpec
 from .linalg import LinearMap
@@ -239,10 +239,8 @@ def _parse_crossed_module(name: str, node, ws: Workspace,
             raise DocumentError(f"{path}.action", str(exc)) from exc
     else:
         action = LieAction.zero(p_alg, m_alg)
-    try:
-        return CrossedModule(name, m_alg, p_alg, boundary, action)
-    except LiecrossError as exc:
-        raise DocumentError(path, str(exc)) from exc
+    # The parse fixed every shape and the field: the constructor cannot fail.
+    return CrossedModule(name, m_alg, p_alg, boundary, action)
 
 
 def _parse_morphism(node, ws: Workspace, path: str) -> CrossedMorphism:
@@ -255,10 +253,8 @@ def _parse_morphism(node, ws: Workspace, path: str) -> CrossedMorphism:
                        dst.m_algebra.dim, src.m_algebra.dim, f"{path}.f1")
     f0 = _parse_matrix(ws.field, _get(node, "f0", path),
                        dst.p_algebra.dim, src.p_algebra.dim, f"{path}.f0")
-    try:
-        return CrossedMorphism(src, dst, f1, f0)
-    except LiecrossError as exc:
-        raise DocumentError(path, str(exc)) from exc
+    # The parse fixed every shape and the field: the constructor cannot fail.
+    return CrossedMorphism(src, dst, f1, f0)
 
 
 def _parse_derivation(node, ws: Workspace, path: str) -> DerivationCertificate:
@@ -330,8 +326,16 @@ def _name_of(table: dict, value, kind: str, path: str) -> str:
 
 
 def serialize_workspace(ws: Workspace) -> str:
-    """Render a workspace back to its document form; parses back equal."""
+    """Render a workspace back to its document form; parses back equal.
+
+    An algebra whose brackets do not alternate has no document form and
+    raises DocumentError; one that fails only Jacobi is written as it is.
+    """
     doc: dict = {"field": str(ws.field)}
+    for name, alg in ws.algebras.items():
+        if validate_lie_algebra(alg).failures_for("antisymmetry"):
+            raise DocumentError(f"algebras.{name}", "brackets do not alternate, "
+                                "and a document carries only their i < j entries")
     if ws.algebras:
         doc["algebras"] = {
             name: ({"dim": alg.dim, "brackets": brackets}

@@ -334,6 +334,18 @@ class TestImageIsIdeal:
         result = image_is_ideal(adj)
         assert result and len(result.spanning) == 3
 
+    def test_non_ideal_image_reports_its_witness(self):
+        # boundary = the inclusion of span(e1) in affine2: [e2, e1] = -e2
+        # leaves the span.
+        aff = battery.affine2(GF3)
+        line = LieAlgebra.abelian("line", GF3, 1)
+        xmod = CrossedModule("e1", line, aff, LinearMap.from_rows(GF3, [[1], [0]]),
+                             LieAction.zero(aff, line))
+        result = image_is_ideal(xmod)
+        assert not result
+        assert result.spanning == (aff.basis(0),)
+        assert result.witness == ((2, 1), aff.basis(1).scale(GF3.scalar(-1)))
+
 
 class TestAbelianZeroModule:
     def test_scaling_action_module(self):

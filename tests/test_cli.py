@@ -223,6 +223,38 @@ class TestUsageErrors:
         assert text == ("error: crossed_modules.X_aff.p: unknown algebra "
                         "['affine2']\n")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("  span_e2:\n    dim: 1\n    brackets: []\n", "  span_e2: [1]\n",
+         "algebras.span_e2: expected a mapping"),
+        ("    brackets: []\n", "    brackets: 3\n",
+         "algebras.span_e2.brackets: expected a list"),
+        ("dim: 1", "dim: one", "algebras.span_e2.dim: expected an integer index"),
+        ('boundary: [["0"], ["1"]]', 'boundary: [["0"]]',
+         "crossed_modules.X_aff.boundary: expected 2 rows, got 1"),
+        ("field: GF(3)", "field: GF3", "field: unrecognized field 'GF3'"),
+        ("field: GF(3)", "field: {kind: rational, p: 3}",
+         "field: rational field takes no p"),
+        ("field: GF(3)", "field: {kind: prime, p: 4}",
+         "field: prime field needs a prime modulus, got 4"),
+        ("field: GF(3)", "field: {kind: complex}",
+         "field.kind: unknown field kind 'complex'"),
+        ("field: GF(3)", "field: 3", "field: expected a field name or mapping"),
+        ('out: [{k: 2, c: "1"}]', 'out: [{k: 2, c: "1"}, {k: 2, c: "2"}]',
+         "algebras.affine2.brackets[0].out[1]: duplicate output index 2"),
+        ("{i: 1, j: 1, out:", "{i: 3, j: 1, out:",
+         "crossed_modules.X_aff.action: bracket pair (3, 1) out of range"),
+    ], ids=["mapping", "list", "index", "row-count", "field-name",
+            "rational-with-p", "composite-p", "field-kind", "field-node",
+            "duplicate-k", "action"])
+    def test_document_error_exits_two_with_its_path(self, tmp_path, old, new,
+                                                    message):
+        assert X_AFF_DOC.count(old) == 1
+        path = tmp_path / "bad.yaml"
+        path.write_text(X_AFF_DOC.replace(old, new))
+        code, text = run(["validate", str(path)])
+        assert code == 2
+        assert text == f"error: {message}\n"
+
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_unwritable_emit_exits_two(self, ws_path, tmp_path, fmt):
         emit = tmp_path / "missing" / "groupoid.json"

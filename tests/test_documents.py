@@ -2,7 +2,7 @@
 
 import pytest
 
-from liecross import FieldSpec
+from liecross import FieldSpec, LieAlgebra, Workspace, validate_lie_algebra
 from liecross.documents import parse_workspace, serialize_workspace
 from liecross.errors import DocumentError
 
@@ -60,6 +60,17 @@ class TestParsing:
         assert parse_workspace("field: GF(7)\n").field == FieldSpec.prime(7)
         mapping = "field:\n  kind: prime\n  p: 5\n"
         assert parse_workspace(mapping).field == FieldSpec.prime(5)
+
+    def test_rational_field_mapping(self):
+        assert parse_workspace("field: {kind: rational}\n").field \
+            == FieldSpec.rational()
+
+    def test_missing_action_is_zero(self):
+        doc = X_AFF_DOC.replace(
+            '    action:\n      - {i: 1, j: 1, out: [{k: 1, c: "1"}]}\n', "")
+        xmod = parse_workspace(doc).require_module("X_aff")
+        assert not any(c for plane in xmod.action.tensor
+                       for row in plane for c in row)
 
     def test_brackets_fill_antisymmetric_half(self):
         ws = parse_workspace(X_AFF_DOC)
@@ -175,6 +186,42 @@ class TestRoundTrip:
             == FieldSpec.rational().parse_scalar("-1/2")
         out = serialize_workspace(ws)
         assert serialize_workspace(parse_workspace(out)) == out
+
+
+    def test_unregistered_algebra_names_its_module(self):
+        ws = parse_workspace(X_AFF_DOC)
+        bare = Workspace(ws.field)
+        bare.crossed_modules["X_aff"] = ws.require_module("X_aff")
+        with pytest.raises(DocumentError) as err:
+            serialize_workspace(bare)
+        assert str(err.value) == ("crossed_modules.X_aff: algebra 'span_e2' "
+                                  "is not registered")
+
+    def test_non_alternating_algebra_is_refused(self):
+        # c[1][1] != 0 and c[2][1] != -c[1][2]: the i < j entries alone
+        # would name another algebra, one that passes validation.
+        gf2 = FieldSpec.prime(2)
+        bad = LieAlgebra("bad", gf2, 2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+        assert validate_lie_algebra(bad).failures_for("antisymmetry")
+        ws = Workspace(gf2)
+        ws.algebras["bad"] = bad
+        with pytest.raises(DocumentError) as err:
+            serialize_workspace(ws)
+        assert err.value.path == "algebras.bad"
+        assert "i < j" in str(err.value)
+
+    def test_jacobi_failure_round_trips(self):
+        # [e1,e2]=e3, [e1,e3]=e1 alternates but breaks Jacobi: the document
+        # can say it, so it is written and read back equal.
+        broken = LieAlgebra.from_sparse_brackets(
+            "broken", FieldSpec.rational(), 3, [(1, 2, {3: 1}), (1, 3, {1: 1})])
+        report = validate_lie_algebra(broken)
+        assert report.failures_for("jacobi")
+        assert not report.failures_for("antisymmetry")
+        ws = Workspace(FieldSpec.rational())
+        ws.algebras["broken"] = broken
+        assert parse_workspace(serialize_workspace(ws)).algebras["broken"] \
+            == broken
 
 
 class TestWorkspaceLookups:

@@ -344,6 +344,29 @@ class TestLazyResults:
         assert list(found) == list(found)
         assert built == {"morphisms": 15, "derivations": 1}
 
+    def test_derivations_decode_only_the_survivors_read(self, monkeypatch):
+        # h3 acting on itself has 15,625 derivations at the identity over
+        # GF(5); a caller that reads ten of them decodes ten.
+        decoded = []
+        make = groupoid._row_decoder
+
+        def counting(*args):
+            rows_of = make(*args)
+
+            def decode(index):
+                decoded.append(index)
+                return rows_of(index)
+            return decode
+
+        monkeypatch.setattr(groupoid, "_row_decoder", counting)
+        h3 = battery.heisenberg3(GF5)
+        adjoint = inclusion_crossed_module(h3, h3.basis_vectors())
+        ders = enumerate_derivations(identity_morphism(adjoint))
+        assert len(ders) == 15_625 and decoded == []
+        first = ders[:10]
+        assert len(decoded) == len(set(decoded)) == 10
+        assert ders[:10] == first and len(decoded) == 10
+
     def test_equal_matrices_in_a_result_are_one_map(self):
         # With M = 0 every morphism has the same empty f1.
         line = lines_module(GF3, 0, 1)

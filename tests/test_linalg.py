@@ -72,6 +72,13 @@ class TestLinearMap:
         assert m.columns() == cols
         assert m.column(1) == cols[1]
 
+    def test_from_columns_infers_rows(self):
+        cols = [vec3([1, 0]), vec3([2, 1])]
+        assert LinearMap.from_columns(GF3, cols) \
+            == LinearMap.from_columns(GF3, cols, rows=2)
+        with pytest.raises(ShapeMismatchError, match="empty map"):
+            LinearMap.from_columns(GF3, [])
+
     def test_apply_is_linear(self):
         m = LinearMap.from_rows(GF3, [[1, 2], [0, 1]])
         a, b = vec3([1, 1]), vec3([2, 0])

@@ -4,6 +4,7 @@ import pytest
 
 import battery
 from liecross import (
+    CrossedModule,
     CrossedMorphism,
     FieldSpec,
     LinearMap,
@@ -14,6 +15,8 @@ from liecross import (
     validate_crossed_morphism,
 )
 from liecross.errors import EndpointMismatchError, ShapeMismatchError
+from liecross.linalg import _entries
+from liecross.morphisms import _morphism_law
 
 QQ = FieldSpec.rational()
 GF3 = FieldSpec.prime(3)
@@ -92,6 +95,19 @@ class TestValidateCrossedMorphism:
                                LinearMap.zero(GF3, 1, 1),
                                LinearMap.zero(GF3, 1, 2))
         assert validate_crossed_morphism(zero).ok
+
+    def test_law_cache_answers_only_its_own_target(self):
+        # An entry under id(dst) held by another module is not dst's law:
+        # other has a zero boundary, so its law fails the identity's square.
+        xaff = battery.x_aff(GF3)
+        ident = identity_morphism(xaff)
+        other = CrossedModule("other", xaff.m_algebra, xaff.p_algebra,
+                              LinearMap.zero(GF3, 2, 1), xaff.action)
+        stale = _morphism_law(xaff, other)
+        assert not stale.holds(_entries(ident.f1, ident.f0))
+        xaff._laws[id(xaff)] = (other, stale)
+        assert validate_crossed_morphism(ident).ok
+        assert xaff._laws[id(xaff)][0] is xaff
 
     def test_shape_checks(self):
         xaff = battery.x_aff(GF3)
