@@ -187,7 +187,6 @@ class TestRoundTrip:
         out = serialize_workspace(ws)
         assert serialize_workspace(parse_workspace(out)) == out
 
-
     def test_unregistered_algebra_names_its_module(self):
         ws = parse_workspace(X_AFF_DOC)
         bare = Workspace(ws.field)
