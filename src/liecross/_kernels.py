@@ -7,15 +7,14 @@ crossed-module morphism.  Each *_law function yields one constraint per
 basis tuple and output coordinate: a list of monomials (c, positions) over
 the row-major positions of the unknown matrices, where positions is (t,)
 for a linear term and (s, t) for a bilinear one.  A constraint is the
-coordinate's lhs - rhs, so it holds when its monomials sum to zero.
-_normalised merges a constraint's monomials once for both readers, and the
-checks run in two stages:
+coordinate's lhs - rhs, so it holds when its monomials sum to zero.  The
+derivation law is written on every ordered pair (i, j), so nothing rests on
+the brackets alternating, and both readers take each distinct constraint
+once (_distinct).  The checks run in two stages:
 
-* The scans file the derivation law on i < j pairs by highest position and
-  walk the digits depth first (below).  Valid, antisymmetric tensors make
-  the other pairs redundant.
-* A Law compiles the constraints on every ordered pair, i = j and i > j
-  included, since validators run on unvalidated tensors.
+* The scans file the derivation law by highest position and walk the
+  digits depth first (below).
+* A Law compiles its laws for evaluation at a point.
   validate_crossed_morphism and is_f0_derivation first evaluate their Law
   at the lifted entries of the maps under test and return the passing
   report when every constraint vanishes; only an input that fails goes
@@ -27,12 +26,14 @@ scan returns the indices in a contiguous range whose matrix passes the
 kernel's condition, in ascending order.
 
 The scan is a depth-first walk over digit positions.  Every (i, j, r)
-constraint of the law is linear or bilinear in the digits, so its value is
-fixed once the digits up to its highest position are; it is filed under that
-position.  The walk sets digit t to 0..p-1, tests only the constraints filed
-at t and goes one digit deeper only when they all hold, so no failing prefix
-is extended.  Leaves arrive in ascending index order and are kept when their
-index lies in the range: the survivors of a candidate-by-candidate walk.
+constraint of the law is linear or bilinear in the digits (quadratic in one
+digit for an i = j constraint of a bracket that does not alternate), so its
+value is fixed once the digits up to its highest position are; it is filed
+under that position.  The walk sets digit t to 0..p-1, tests only the
+constraints filed at t and goes one digit deeper only when they all hold, so
+no failing prefix is extended.  Leaves arrive in ascending index order and
+are kept when their index lies in the range: the survivors of a
+candidate-by-candidate walk.
 
 All tensor arguments are flat tuples of lifted numbers (residues over
 GF(p)): bracket tensors are indexed by (i*dim + j)*dim + k, action tensors
@@ -43,16 +44,15 @@ coordinate of f0(e_i) acting on the b-th codomain basis vector.
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import itemgetter, mul
 
 # Reported as liecross.KERNEL_BACKEND: the kernels are plain Python.
 BACKEND = "pure"
 
 
-def derivation_law(dom_br, act, cod_br, rows, cols, pairs, at=0):
-    """Constraint (i, j, r) for (i, j) in pairs and r < rows: the r-th
-    coordinate of
+def derivation_law(dom_br, act, cod_br, rows, cols, at=0):
+    """Constraint (i, j, r) for every ordered pair i, j < cols and r < rows,
+    in that lexicographic order: the r-th coordinate of
 
         D[e_i, e_j] - f0(e_i).D(e_j) + f0(e_j).D(e_i) - [D(e_i), D(e_j)]
 
@@ -60,20 +60,21 @@ def derivation_law(dom_br, act, cod_br, rows, cols, pairs, at=0):
     act=None stands for the zero action, which leaves the Lie-morphism law
     F[e_i, e_j] - [F(e_i), F(e_j)].
     """
-    for i, j in pairs:
-        base = (i * cols + j) * cols
-        for r in range(rows):
-            terms = [(dom_br[base + k], (at + r * cols + k,)) for k in range(cols)]
-            if act is not None:
-                for b in range(rows):
-                    terms.append((-act[(i * rows + b) * rows + r],
-                                  (at + b * cols + j,)))
-                    terms.append((act[(j * rows + b) * rows + r],
-                                  (at + b * cols + i,)))
-            terms += [(-cod_br[(a * rows + b) * rows + r],
-                       (at + a * cols + i, at + b * cols + j))
-                      for a in range(rows) for b in range(rows)]
-            yield terms
+    for i in range(cols):
+        for j in range(cols):
+            base = (i * cols + j) * cols
+            for r in range(rows):
+                terms = [(dom_br[base + k], (at + r * cols + k,)) for k in range(cols)]
+                if act is not None:
+                    for b in range(rows):
+                        terms.append((-act[(i * rows + b) * rows + r],
+                                      (at + b * cols + j,)))
+                        terms.append((act[(j * rows + b) * rows + r],
+                                      (at + b * cols + i,)))
+                terms += [(-cod_br[(a * rows + b) * rows + r],
+                           (at + a * cols + i, at + b * cols + j))
+                          for a in range(rows) for b in range(rows)]
+                yield terms
 
 
 def equivariance_law(src_act, dst_act, dm, dm2, dp, dp2):
@@ -102,17 +103,32 @@ def square_law(bd, bd2, dm, dm2, dp, dp2):
                    + [(-bd[a * dm + j], (at + r * dp + a,)) for a in range(dp)])
 
 
-def _normalised(p, terms) -> dict:
-    """A constraint's monomials merged by their sorted positions, with
-    coefficients reduced mod p (kept exact when p is None) and zeros
-    dropped, in order of first appearance: {positions: c}."""
-    merged: dict[tuple[int, ...], object] = {}
-    for c, positions in terms:
-        key = tuple(sorted(positions))
-        merged[key] = merged.get(key, 0) + c
-    if p:
-        merged = {key: c % p for key, c in merged.items()}
-    return {key: c for key, c in merged.items() if c}
+def _distinct(p, constraints):
+    """Each distinct constraint once, in first-seen order, as {positions: c}.
+
+    Monomials are merged by their sorted positions, coefficients reduced
+    mod p (kept exact when p is None) and zeros dropped.  An empty
+    constraint always holds and is dropped; the rest are scaled to 1 at
+    their least positions, since nonzero multiples vanish together, and
+    equal ones are kept once.  On alternating brackets that leaves only
+    i < j constraints of the derivation law: those at i = j are empty, and
+    each (j, i) one is a multiple of the (i, j) one.
+    """
+    distinct = {}
+    for terms in constraints:
+        merged: dict[tuple[int, ...], object] = {}
+        for c, key in terms:
+            if len(key) == 2 and key[0] > key[1]:
+                key = key[1], key[0]
+            merged[key] = merged.get(key, 0) + c
+        merged = {key: c for key, c in merged.items() if (c % p if p else c)}
+        if merged:
+            lead = merged[min(merged)]
+            scale = pow(lead, -1, p) if p else 1 / lead
+            merged = {key: c * scale % p if p else c * scale
+                      for key, c in merged.items()}
+            distinct.setdefault(frozenset(merged.items()), merged)
+    return distinct.values()
 
 
 class Law:
@@ -120,23 +136,23 @@ class Law:
 
     holds(x) is True exactly when every constraint vanishes at x, the size
     entries of the maps under test as a list of lifted numbers: mod p over
-    GF(p) (p the modulus), exactly over QQ (p None).  Each constraint is
-    linear over x extended by the products its bilinear terms need; it is
-    kept as an itemgetter of those slots and their coefficients.
+    GF(p) (p the modulus), exactly over QQ (p None).  Each distinct
+    constraint (_distinct) is linear over x extended by the products its
+    bilinear terms need; it is kept as an itemgetter of those slots and
+    their coefficients.
     """
 
     def __init__(self, p, size, constraints):
         products: dict[tuple[int, int], int] = {}
         rows = []
-        for terms in constraints:
+        for merged in _distinct(p, constraints):
             kept = [(key[0] if len(key) == 1
                      else size + products.setdefault(key, len(products)), c)
-                    for key, c in _normalised(p, terms).items()]
-            if kept:
-                # Two slots at least, so the itemgetter returns a tuple.
-                kept += [(0, 0)] * (2 - len(kept))
-                slots, cs = zip(*kept)
-                rows.append((itemgetter(*slots), cs))
+                    for key, c in merged.items()]
+            # Two slots at least, so the itemgetter returns a tuple.
+            kept += [(0, 0)] * (2 - len(kept))
+            slots, cs = zip(*kept)
+            rows.append((itemgetter(*slots), cs))
         self._p = p
         self._left = tuple(s for s, _ in products)
         self._right = tuple(t for _, t in products)
@@ -152,22 +168,18 @@ class Law:
 
 
 def _constraints(p, dom_br, act, cod_br, rows, cols):
-    """The derivation law on pairs i < j as (linear terms, bilinear terms),
-    filed by highest position.
+    """The derivation law on every ordered pair, each distinct constraint
+    once, as (linear terms, bilinear terms) filed by highest position.
 
     Linear terms are (t, c), sorted by t, and bilinear terms (s, t, c), from
-    _normalised.  Entry h of the result lists the constraints whose highest
-    position is h.  A constraint with no terms always holds and is left out.
+    _distinct.  Entry h of the result lists the constraints whose highest
+    position is h, in first-seen order.
     """
     at = [[] for _ in range(rows * cols)]
-    for terms in derivation_law(dom_br, act, cod_br, rows, cols,
-                                combinations(range(cols), 2)):
-        merged = _normalised(p, terms)
-        if merged:
-            lin_terms = sorted((key[0], c) for key, c in merged.items()
-                               if len(key) == 1)
-            bil_terms = [(*key, c) for key, c in merged.items() if len(key) == 2]
-            at[max(map(max, merged))].append((lin_terms, bil_terms))
+    for merged in _distinct(p, derivation_law(dom_br, act, cod_br, rows, cols)):
+        lin_terms = sorted((key[0], c) for key, c in merged.items() if len(key) == 1)
+        bil_terms = [(*key, c) for key, c in merged.items() if len(key) == 2]
+        at[max(map(max, merged))].append((lin_terms, bil_terms))
     return at
 
 
@@ -200,23 +212,20 @@ def _walk(p, at, start, stop):
 
 
 def scan_lie_morphisms(p, dom_br, cod_br, rows, cols, start, stop):
-    """Indices of F with F[e_i, e_j] = [F e_i, F e_j] for all i < j.
-
-    This is the derivation law with the zero action.  Valid (antisymmetric)
-    bracket tensors make the i > j and i = j cases redundant, so only i < j
-    pairs are tested.
-    """
+    """Indices of F with F[e_i, e_j] = [F e_i, F e_j] on every ordered pair
+    (i, j): the derivation law with the zero action, each distinct
+    constraint once."""
     return _walk(p, _constraints(p, dom_br, None, cod_br, rows, cols),
                  start, stop)
 
 
 def scan_derivations(p, dom_br, act, cod_br, rows, cols, start, stop):
-    """Indices of D obeying the derivation law on all pairs i < j:
+    """Indices of D obeying the derivation law on every ordered pair (i, j),
+    each distinct constraint once:
 
         D[e_i, e_j] = f0(e_i).D(e_j) - f0(e_j).D(e_i) + [D(e_i), D(e_j)]
 
-    with the action of f0 precomputed into act.  Both sides are antisymmetric
-    in (i, j) and vanish at i = j, so i < j pairs suffice.
+    with the action of f0 precomputed into act.
     """
     return _walk(p, _constraints(p, dom_br, act, cod_br, rows, cols),
                  start, stop)

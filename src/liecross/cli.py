@@ -69,23 +69,23 @@ def _emit(args, out, text_lines: list[str], data: dict):
             print(line, file=out)
 
 
+def _module_report(xm) -> ValidationReport:
+    report = validate_action(xm.action)
+    report.merge(validate_crossed_module(xm))
+    return report
+
+
 def _workspace_reports(ws: Workspace) -> list[ValidationReport]:
     reports = []
-    for name, alg in ws.algebras.items():
-        report = validate_lie_algebra(alg)
-        report.subject = name
-        reports.append(report)
-    for name, xm in ws.crossed_modules.items():
-        report = validate_action(xm.action)
-        report.merge(validate_crossed_module(xm))
-        report.subject = name
-        reports.append(report)
-    for name, f in ws.morphisms.items():
-        reports.append(validate_crossed_morphism(f, subject=name))
-    for name, cert in ws.derivations.items():
-        report = is_f0_derivation(cert.d, cert.base)
-        report.subject = name
-        reports.append(report)
+    for objects, validate in (
+            (ws.algebras, validate_lie_algebra),
+            (ws.crossed_modules, _module_report),
+            (ws.morphisms, validate_crossed_morphism),
+            (ws.derivations, lambda cert: is_f0_derivation(cert.d, cert.base))):
+        for name, obj in objects.items():
+            report = validate(obj)
+            report.subject = name
+            reports.append(report)
     return reports
 
 

@@ -210,23 +210,16 @@ def _acting_matrix(action: LieAction, coords, rows) -> Rows:
     return tuple(tuple(v % p for v in matrix[r]) for r in rows)
 
 
-def _alternating(algebra: LieAlgebra) -> bool:
-    """Whether the bracket tensor has c[i][i] = 0 and c[i][j] = -c[j][i]."""
-    s, n, p = _flat_structure(algebra), algebra.dim, algebra.field.p
-    return all((s[(i * n + j) * n + k] + (i != j) * s[(j * n + i) * n + k]) % p == 0
-               for i in range(n) for j in range(i, n) for k in range(n))
-
-
 def _defect_rows(source: CrossedModule, target: CrossedModule) -> list[int]:
     """The coordinates of M' on which equivariance is compared: the free
     columns of boundary''s echelon form, or all of them unless both modules
-    pass validate_crossed_module and both P brackets alternate."""
+    pass validate_crossed_module; the f0 scan checks every ordered pair,
+    each distinct constraint once, so no bracket needs to alternate."""
     dm2 = target.m_algebra.dim
     _, pivots = _row_reduce([list(row) for row in target.boundary.entries],
                             target.field)
     modules = (source,) if target == source else (source, target)
-    if pivots and not all(_alternating(x.p_algebra) and validate_crossed_module(x).ok
-                          for x in modules):
+    if pivots and not all(validate_crossed_module(x).ok for x in modules):
         return list(range(dm2))
     return [r for r in range(dm2) if r not in pivots]
 
@@ -246,13 +239,13 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     defect can be nonzero.  For a pair that passes the boundary square,
     CM1 of both modules gives boundary' f1(p . m) = f0 [p, boundary m] =
     [f0 p, boundary' f1 m] = boundary'(f0 p . f1 m), since f0 is a Lie
-    morphism on every ordered pair: the scan checks i < j, and alternating
-    P brackets give the rest.  So the defect lies in ker boundary', and a
+    morphism on every ordered pair: the scans check the law there, each
+    distinct constraint once.  So the defect lies in ker boundary', and a
     kernel vector is zero exactly when its coordinates at the free columns
     of boundary''s echelon form are: only those rows are compared, and
     none when boundary' is injective.  If a module fails
-    validate_crossed_module or a P bracket does not alternate, every row
-    is.  Results and their order are the same either way.
+    validate_crossed_module, every row is.  Results and their order are
+    the same either way.
     """
     if not same_field(source.field, target.field):
         raise FieldMismatchError("modules over different fields")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from ._kernels import Law, derivation_law, equivariance_law, square_law
 from .algebras import (
@@ -69,7 +68,7 @@ class CrossedMorphism:
         p_alg, m_prime = self.source.p_algebra, self.target.m_algebra
         return Law(self.source.field.p, m_prime.dim * p_alg.dim, derivation_law(
             _flat_structure(p_alg), self._f0_action, _flat_structure(m_prime),
-            m_prime.dim, p_alg.dim, product(range(p_alg.dim), repeat=2)))
+            m_prime.dim, p_alg.dim))
 
     def is_endomorphism(self) -> bool:
         return self.source == self.target
@@ -79,13 +78,12 @@ class CrossedMorphism:
                 f"f1={self.f1}, f0={self.f0})")
 
 
-def is_lie_morphism(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra,
-                    subject: str = "map") -> ValidationReport:
+def is_lie_morphism(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra) -> ValidationReport:
     """Check f[e_i, e_j] = [f e_i, f e_j] on all basis pairs."""
     f._require_shape(cod.dim, dom.dim, "map")
     if not (same_field(f.field, dom.field) and same_field(dom.field, cod.field)):
         raise FieldMismatchError("map and algebras over different fields")
-    report = ValidationReport(subject)
+    report = ValidationReport("map")
     report.check("lie_morphism", (dom.dim, dom.dim), _lie_morphism_sides(f, dom, cod))
     return report
 
@@ -94,7 +92,7 @@ def _lie_morphism_law(dom: LieAlgebra, cod: LieAlgebra, at: int):
     """The Lie-morphism law dom -> cod on every ordered basis pair, over a
     cod.dim x dom.dim map whose entries start at position at."""
     return derivation_law(_flat_structure(dom), None, _flat_structure(cod),
-                          cod.dim, dom.dim, product(range(dom.dim), repeat=2), at)
+                          cod.dim, dom.dim, at)
 
 
 def _morphism_law(src: CrossedModule, dst: CrossedModule) -> Law:
@@ -111,8 +109,7 @@ def _morphism_law(src: CrossedModule, dst: CrossedModule) -> Law:
                     dm, dm2, dp, dp2)])
 
 
-def validate_crossed_morphism(phi: CrossedMorphism,
-                              subject: str = "morphism") -> ValidationReport:
+def validate_crossed_morphism(phi: CrossedMorphism) -> ValidationReport:
     """Check both component morphisms, equivariance and the boundary square."""
     src, dst = phi.source, phi.target
     # Keyed by the target's identity: hashing its tensors would cost more
@@ -123,8 +120,8 @@ def validate_crossed_morphism(phi: CrossedMorphism,
         hit = src._laws[id(dst)] = (dst, _morphism_law(src, dst))
     if hit[1].holds(_entries(phi.f1, phi.f0)):
         return ValidationReport(
-            subject, ["f1_morphism", "f0_morphism", "equivariance", "square"])
-    report = ValidationReport(subject)
+            "morphism", ["f1_morphism", "f0_morphism", "equivariance", "square"])
+    report = ValidationReport("morphism")
     m, p = src.m_algebra.dim, src.p_algebra.dim
     report.check("f1_morphism", (m, m),
                  _lie_morphism_sides(phi.f1, src.m_algebra, dst.m_algebra))

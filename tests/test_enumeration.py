@@ -3,10 +3,11 @@ independent brute-force oracle."""
 
 import random
 from collections.abc import Sequence
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import battery
 from battery import lines_module
@@ -23,7 +24,9 @@ from liecross import (
     enumerate_morphisms,
     identity_morphism,
     inclusion_crossed_module,
+    is_f0_derivation,
     validate_crossed_module,
+    validate_crossed_morphism,
 )
 from liecross.errors import (
     BudgetExceededError,
@@ -177,8 +180,7 @@ class TestGeneratedJoinParity:
 class TestEquivarianceRows:
     """Equivariance is compared only on the coordinates of M' that can carry
     a defect, the free columns of boundary''s echelon form, unless a module
-    fails validate_crossed_module or a P bracket does not alternate: then on
-    all of them."""
+    fails validate_crossed_module: then on all of them."""
 
     @pytest.mark.parametrize("p, seed", [(2, 31), (3, 32), (5, 33)])
     def test_partial_kernels_match_oracle(self, p, seed):
@@ -203,13 +205,13 @@ class TestEquivarianceRows:
 
     @staticmethod
     def gate_breakers(field):
-        """Modules with an injective boundary that break what the row
-        reduction relies on: cm1, or an alternating P bracket."""
+        """Modules with an injective boundary that break cm1, or whose P
+        bracket does not alternate."""
         line = LieAlgebra.abelian("line", field, 1)
         scaling = CrossedModule("scaling", line, line, LinearMap.identity(field, 1),
                                 LieAction.from_sparse(line, line, [(1, 1, {1: 1})]))
-        # [e, e] = e: cm1 and cm2 hold for the adjoint action, but the scans
-        # check only i < j pairs, so f0 need not be a Lie morphism at (1, 1).
+        # [e, e] = e: cm1 and cm2 hold for the adjoint action, and the scans
+        # check the (1, 1) pair too, so f0 is a Lie morphism there.
         idem = LieAlgebra("idem", field, 1, (((1,),),))
         idempotent = CrossedModule("idempotent", idem, idem,
                                    LinearMap.identity(field, 1), LieAction.adjoint(idem))
@@ -231,8 +233,8 @@ class TestEquivarianceRows:
         scaling, idempotent, doubled_ideal = self.gate_breakers(field)
         assert [validate_crossed_module(x).ok
                 for x in (scaling, idempotent, doubled_ideal)] == [False, True, False]
-        # idempotent's M bracket does not alternate either, so the f1 scan
-        # matches the oracle only where equivariance makes up for it.
+        # idempotent's M bracket does not alternate either; the f1 scan
+        # checks every ordered pair, so it needs no help from equivariance.
         pool = [scaling, doubled_ideal, battery.x_triv(field), battery.x_aff(field)]
         pairs = [(a, b) for a in pool for b in pool] + [(idempotent, idempotent)]
         rejected = 0
@@ -539,6 +541,71 @@ class TestKernelBackends:
         assert split == whole
 
 
+class TestNonAlternatingTables:
+    """Both enumerations on brackets that do not alternate, built through the
+    Python API (a document fills in the antisymmetric half), against the
+    oracle, which checks every ordered pair; every item also validates."""
+
+    @staticmethod
+    def assert_match_oracle(a, b):
+        ours = enumerate_morphisms(a, b)
+        assert as_pairs(ours) == oracle.enumerate_morphisms(oracle_xmod(a),
+                                                            oracle_xmod(b))
+        for f in ours:
+            assert validate_crossed_morphism(f).ok
+            found = enumerate_derivations(f)
+            assert [flat(h.d) for h in found] == oracle.enumerate_derivations(
+                oracle_xmod(a), oracle_xmod(b), flat(f.f0))
+            assert all(is_f0_derivation(h.d, f).ok for h in found)
+        return ours
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_idempotent_line_matches_oracle(self, p):
+        # [e, e] = e as M or as P, an abelian line as the other, zero
+        # boundary and action: f(e) = a e is a Lie morphism of [e, e] = e
+        # only for a = a^2, and a derivation d only for d = 0.
+        field = FieldSpec.prime(p)
+        idem = LieAlgebra("idem", field, 1, (((1,),),))
+        line = LieAlgebra.abelian("line", field, 1)
+        for m, q in ((idem, line), (line, idem)):
+            x = CrossedModule("x", m, q, LinearMap.zero(field, 1, 1),
+                              LieAction.from_sparse(q, m, []))
+            ours = self.assert_match_oracle(x, x)
+            assert len(ours) == 2 * p
+            assert all(len(enumerate_derivations(f)) == 1 for f in ours)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_generated_tables_match_oracle(self, data):
+        # Brackets of e_i with e_j for i >= j only.  A module is either two
+        # such algebras with zero boundary and action, or one acting on
+        # itself by its bracket with the identity boundary: that one passes
+        # validate_crossed_module, so between two of them no equivariance
+        # row is compared.
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        field = FieldSpec.prime(p)
+
+        def lower(name, n):
+            return LieAlgebra(name, field, n, [
+                [data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+                 if i >= j else [0] * n for j in range(n)] for i in range(n)])
+
+        def module(name):
+            m = data.draw(st.integers(1, 2 if p < 5 else 1))
+            if data.draw(st.booleans()):
+                alg = lower(name, m)
+                return CrossedModule(name, alg, alg, LinearMap.identity(field, m),
+                                     LieAction.adjoint(alg))
+            q = data.draw(st.integers(1, 2 if p < 5 else 1))
+            m_alg, p_alg = lower(name + "_m", m), lower(name + "_p", q)
+            return CrossedModule(name, m_alg, p_alg, LinearMap.zero(field, q, m),
+                                 LieAction.from_sparse(p_alg, m_alg, []))
+
+        a, b = module("a"), module("b")
+        assume(morphism_space(a, b) <= 729)
+        self.assert_match_oracle(a, b)
+
+
 @st.composite
 def scan_inputs(draw):
     """(p, rows, cols, dom_br, act, cod_br, start, stop) with at most 1024
@@ -566,8 +633,8 @@ def scan_inputs(draw):
 
 def law_holds(p, rows, cols, dom_br, act, cod_br, index):
     """The scan_derivations law at one candidate, straight from its formula:
-    D[e_i, e_j] = f0(e_i).D(e_j) - f0(e_j).D(e_i) + [D(e_i), D(e_j)] for all
-    i < j, coordinate r; act=None is the zero action."""
+    D[e_i, e_j] = f0(e_i).D(e_j) - f0(e_j).D(e_i) + [D(e_i), D(e_j)] for
+    every ordered pair (i, j), coordinate r; act=None is the zero action."""
     digits = []
     for _ in range(rows * cols):
         index, digit = divmod(index, p)
@@ -583,7 +650,7 @@ def law_holds(p, rows, cols, dom_br, act, cod_br, index):
         return sum(act[(i * rows + b) * rows + r] * d(b, j) for b in range(rows))
 
     for i in range(cols):
-        for j in range(i + 1, cols):
+        for j in range(cols):
             for r in range(rows):
                 lhs = sum(dom_br[(i * cols + j) * cols + k] * d(r, k)
                           for k in range(cols))
@@ -608,3 +675,70 @@ class TestScanProperty:
                if law_holds(p, rows, cols, dom_br, None, cod_br, k)]
         assert _kernels.scan_lie_morphisms(p, dom_br, cod_br, rows, cols,
                                            start, stop) == lie
+
+
+def multiple(p, terms, k):
+    """k times a constraint, its monomials in reverse order and each
+    bilinear monomial's positions swapped."""
+    return [(c * k % p if p else c * k, positions[::-1])
+            for c, positions in reversed(terms)]
+
+
+def filed_slots(law, size):
+    """A Law's compiled rows as (slots, coefficients) and its products."""
+    return ([(get(range(size + len(law._left))), cs) for get, cs in law._rows],
+            law._left, law._right)
+
+
+class TestDistinctConstraints:
+    """Constraints are filed once each, up to a nonzero multiple."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(scan_inputs(), st.data())
+    def test_multiples_file_nothing_new(self, inputs, data):
+        p, rows, cols, dom_br, act, cod_br, _, _ = inputs
+        if data.draw(st.booleans()):  # over QQ, on Fractions
+            p = None
+            dom_br, cod_br = tuple(map(Fraction, dom_br)), tuple(map(Fraction, cod_br))
+            act = act and tuple(map(Fraction, act))
+        alone = list(_kernels.derivation_law(dom_br, act, cod_br, rows, cols))
+        factors = (st.integers(1, p - 1) if p
+                   else st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                                  st.integers(1, 6)))
+        repeated = [c for terms in alone
+                    for c in (terms, multiple(p, terms, data.draw(factors)))]
+        size = rows * cols
+        assert filed_slots(_kernels.Law(p, size, repeated), size) \
+            == filed_slots(_kernels.Law(p, size, alone), size)
+        if p:
+            def filed(constraints):
+                with mock.patch.object(_kernels, "derivation_law",
+                                       lambda *args: iter(constraints)):
+                    return _kernels._constraints(p, dom_br, act, cod_br, rows, cols)
+            assert filed(repeated) == filed(alone)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scan_inputs(), st.data())
+    def test_alternating_tables_file_the_pairs_i_below_j(self, inputs, data):
+        p, rows, cols, _, act, _, _, _ = inputs
+
+        def alternating(n):
+            table = [0] * n ** 3
+            for i in range(n):
+                for j in range(i + 1, n):
+                    for k in range(n):
+                        c = data.draw(st.integers(0, p - 1))
+                        table[(i * n + j) * n + k] = c
+                        table[(j * n + i) * n + k] = -c % p
+            return tuple(table)
+        dom_br, cod_br = alternating(cols), alternating(rows)
+        # derivation_law's constraint (i, j, r) comes at index
+        # (i * cols + j) * rows + r.
+        law = _kernels.derivation_law(dom_br, act, cod_br, rows, cols)
+        below = [terms for n, terms in enumerate(law)
+                 if n // rows // cols < n // rows % cols]
+        all_pairs = _kernels._constraints(p, dom_br, act, cod_br, rows, cols)
+        with mock.patch.object(_kernels, "derivation_law",
+                               lambda *args: iter(below)):
+            assert _kernels._constraints(p, dom_br, act, cod_br, rows, cols) \
+                == all_pairs
