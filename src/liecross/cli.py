@@ -2,16 +2,21 @@
 
 Every subcommand takes a workspace document and emits a deterministic report
 stream: identical inputs and flags produce byte-identical output, whatever
-the worker count.  Exit codes: 0 success/valid, 1 an axiom or connection
-failed, 2 usage or document problems, 3 enumeration budget exceeded.
+the worker count.  Output is written as it is encoded, in batches of about
+BATCH_CHARS characters, so no command builds its whole report as one
+string.  Exit codes: 0 success/valid, 1 an axiom or connection failed (or
+stdout's reader went away, as under `| head`; no traceback is printed),
+2 usage or document problems, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from .algebras import (
@@ -61,12 +66,43 @@ def _report_json(report: ValidationReport) -> dict:
     }
 
 
+# Pieces of output are joined into writes of about this many characters.
+# With PYTHONUNBUFFERED set every write to stdout is a system call, and one
+# write per piece would make tens of thousands of them.
+BATCH_CHARS = 1 << 16
+
+# With indent set, json.dumps takes this encoder's pure-Python path, so the
+# pieces of its iterencode join to the bytes json.dumps(indent=2) returns.
+_JSON = json.JSONEncoder(indent=2)
+
+
+def _batches(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces joined into strings of about BATCH_CHARS characters."""
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= BATCH_CHARS:
+            yield "".join(batch)
+            batch.clear()
+            size = 0
+    if batch:
+        yield "".join(batch)
+
+
+def _write(pieces: Iterable[str], *writes: Callable[[str], object]) -> None:
+    """Pass the pieces to each write, joined about BATCH_CHARS at a time."""
+    for text in _batches(pieces):
+        for write in writes:
+            write(text)
+
+
 def _emit(args, out, text_lines: list[str], data: dict):
     if args.format == "structured":
-        print(json.dumps(data, indent=2), file=out)
+        _write(chain(_JSON.iterencode(data), ["\n"]), out.write)
     else:
-        for line in text_lines:
-            print(line, file=out)
+        _write((line + "\n" for line in text_lines), out.write)
 
 
 def _module_report(xm) -> ValidationReport:
@@ -139,31 +175,69 @@ def _per_matrix(encode: Callable[[LinearMap], str]) -> Callable[[LinearMap], str
     return encoded
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """Encoded items as the JSON list json.dumps(indent=2) writes at indent."""
-    if not items:
-        return "[]"
+def _json_list(items: Iterator[str], indent: str) -> Iterator[str]:
+    """Pieces of the JSON list json.dumps(indent=2) writes at indent."""
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
     inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+    yield "[" + inner
+    yield first
+    comma = "," + inner
+    for item in items:
+        yield comma
+        yield item
+    yield "\n" + indent + "]"
 
 
-def _groupoid_document(groupoid: HomGroupoid, classes: list[list[int]]) -> str:
-    """json.dumps of {"objects", "arrows", "classes"} with indent=2.
+def _groupoid_document(groupoid: HomGroupoid, classes: list[list[int]]) -> Iterator[str]:
+    """Pieces of json.dumps of {"objects", "arrows", "classes"} with indent=2.
 
     json.dumps runs once per distinct matrix; its block, indented to the
     depth of an entry's keys, is joined into every entry that has it.
     """
     block = _per_matrix(lambda m: json.dumps(
         _matrix_doc(m), indent=2).replace("\n", "\n      "))
-    objects = [f'{{\n      "f1": {block(f.f1)},\n      "f0": {block(f.f0)}\n    }}'
-               for f in groupoid.objects]
-    arrows = [f'{{\n      "src": {a.src},\n      "dst": {a.dst},\n'
-              f'      "d": {block(a.derivation.d)}\n    }}'
-              for a in groupoid.arrows]
-    partition = json.dumps(classes, indent=2).replace("\n", "\n  ")
-    return (f'{{\n  "objects": {_json_list(objects, "  ")},\n'
-            f'  "arrows": {_json_list(arrows, "  ")},\n'
-            f'  "classes": {partition}\n}}')
+    yield '{\n  "objects": '
+    yield from _json_list((f'{{\n      "f1": {block(f.f1)},\n      "f0": {block(f.f0)}\n    }}'
+                           for f in groupoid.objects), "  ")
+    yield ',\n  "arrows": '
+    yield from _json_list((f'{{\n      "src": {a.src},\n      "dst": {a.dst},\n'
+                           f'      "d": {block(a.derivation.d)}\n    }}'
+                           for a in groupoid.arrows), "  ")
+    yield ',\n  "classes": '
+    for piece in _JSON.iterencode(classes):
+        yield piece.replace("\n", "\n  ")
+    yield "\n}"
+
+
+def _groupoid_lines(groupoid: HomGroupoid, classes: list[list[int]],
+                    emit: str | None) -> Iterator[str]:
+    """The text report of the groupoid command, one piece per line."""
+    yield (f"objects={len(groupoid.objects)} arrows={len(groupoid.arrows)} "
+           f"classes={len(classes)} sizes={_sizes_text(classes)}\n")
+    shown = _per_matrix(str)
+    for i, f in enumerate(groupoid.objects):
+        yield f"object {i}: f1={shown(f.f1)} f0={shown(f.f0)}\n"
+    for t, a in enumerate(groupoid.arrows):
+        yield f"arrow {t}: {a.src} -> {a.dst} d={shown(a.derivation.d)}\n"
+    if emit:
+        yield f"emitted {emit}\n"
+
+
+class _EmitFailed(Exception):
+    """An OSError from the --emit file, kept apart from one from stdout."""
+
+
+def _emitting(call: Callable) -> Callable:
+    """call, with its OSError raised as _EmitFailed."""
+    def attempt(*args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise _EmitFailed(exc) from exc
+    return attempt
 
 
 def _cmd_groupoid(ws: Workspace, args, out) -> int:
@@ -171,27 +245,25 @@ def _cmd_groupoid(ws: Workspace, args, out) -> int:
     groupoid = build_hom_groupoid(source, target,
                                   budget=args.budget, workers=args.workers)
     classes = homotopy_classes(groupoid)
-    if args.format == "structured" or args.emit:  # both print one encoding
-        document = _groupoid_document(groupoid, classes)
-        if args.emit:
-            try:
-                Path(args.emit).write_text(document + "\n")
-            except OSError as exc:
-                print(f"error: cannot write {args.emit}: {exc}", file=out)
-                return 2
-        if args.format == "structured":
-            print(document, file=out)
-            return 0
-    lines = [f"objects={len(groupoid.objects)} arrows={len(groupoid.arrows)} "
-             f"classes={len(classes)} sizes={_sizes_text(classes)}"]
-    shown = _per_matrix(str)
-    lines += [f"object {i}: f1={shown(f.f1)} f0={shown(f.f0)}"
-              for i, f in enumerate(groupoid.objects)]
-    lines += [f"arrow {t}: {a.src} -> {a.dst} d={shown(a.derivation.d)}"
-              for t, a in enumerate(groupoid.arrows)]
+    structured = args.format == "structured"
+    document = chain(_groupoid_document(groupoid, classes), ["\n"])
     if args.emit:
-        lines.append(f"emitted {args.emit}")
-    print("\n".join(lines), file=out)
+        # The file is opened before anything reaches stdout.  In the
+        # structured format one pass writes each batch to the file and stdout.
+        try:
+            emit = _emitting(open)(args.emit, "w")
+            try:
+                _write(document, _emitting(emit.write),
+                       *([out.write] if structured else []))
+            finally:
+                _emitting(emit.close)()
+        except _EmitFailed as exc:
+            print(f"error: cannot write {args.emit}: {exc}", file=out)
+            return 2
+    elif structured:
+        _write(document, out.write)
+    if not structured:
+        _write(_groupoid_lines(groupoid, classes, args.emit), out.write)
     return 0
 
 
@@ -347,7 +419,15 @@ def run_command(argv: list[str], out=None) -> int:
 
 
 def main():
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull, so that
+        # the flush at exit fails no more, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,23 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import battery
-from liecross import FieldSpec, Workspace, inclusion_crossed_module, serialize_workspace
-from liecross.cli import run_command
+from liecross import (
+    FieldSpec,
+    Workspace,
+    build_hom_groupoid,
+    homotopy_classes,
+    inclusion_crossed_module,
+    parse_workspace,
+    serialize_workspace,
+)
+from liecross.cli import BATCH_CHARS, _groupoid_document, _groupoid_lines, run_command
 
 X_AFF_DOC = """\
 field: GF(3)
@@ -264,6 +275,23 @@ class TestUsageErrors:
         assert text.startswith(f"error: cannot write {emit}: ")
         assert text.count("\n") == 1
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_failed_emit_write_exits_two(self, ws_path, fmt):
+        code, text = run(["groupoid", ws_path, "--hom", "X_aff", "X_aff",
+                          "--emit", "/dev/full", "--format", fmt])
+        assert code == 2
+        assert text.splitlines()[-1].startswith("error: cannot write /dev/full: ")
+        assert "objects=" not in text
+
+    def test_stdout_error_is_not_reported_as_an_emit_error(self, ws_path, tmp_path):
+        def write(text):
+            raise OSError(5, "stdout failed")
+        with pytest.raises(OSError, match="stdout failed"):
+            run_command(["groupoid", ws_path, "--hom", "X_aff", "X_aff",
+                         "--emit", str(tmp_path / "groupoid.json"),
+                         "--format", "structured"], out=SimpleNamespace(write=write))
+
     def test_rational_enumeration_rejected(self, tmp_path):
         path = tmp_path / "rat.yaml"
         path.write_text(RATIONAL_DOC)
@@ -449,6 +477,61 @@ class TestGroupoidBytes:
         expected = self.TEXT_STDOUT if fmt == "text" else self.DOCUMENT
         assert hashlib.sha256(stdout).hexdigest() == expected
         assert hashlib.sha256(emit.read_bytes()).hexdigest() == self.DOCUMENT
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_output_is_written_in_bounded_batches(self, doc_path, tmp_path, fmt):
+        emit = tmp_path / "groupoid.json"
+        writes = []
+        code = run_command(["groupoid", doc_path, "--hom", "X", "X",
+                            "--emit", str(emit), "--format", fmt],
+                           out=SimpleNamespace(write=writes.append))
+        assert code == 0
+        xmod = parse_workspace(Path(doc_path).read_text()).crossed_modules["X"]
+        g = build_hom_groupoid(xmod, xmod)
+        classes = homotopy_classes(g)
+        pieces = (_groupoid_lines(g, classes, str(emit)) if fmt == "text"
+                  else _groupoid_document(g, classes))
+        largest = max(map(len, pieces))
+        assert len(writes) > 1
+        assert max(map(len, writes)) <= BATCH_CHARS + largest
+        stdout = "".join(writes).replace(str(emit), "EMIT").encode()
+        expected = self.TEXT_STDOUT if fmt == "text" else self.DOCUMENT
+        assert hashlib.sha256(stdout).hexdigest() == expected
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_traced_peak_stays_below_the_document(self, doc_path, tmp_path, fmt):
+        # The groupoid itself peaks at about 7.7 MB; the 4.0 MB document
+        # held as one string, let alone its copies, would pass the bound.
+        written = []
+        out = SimpleNamespace(write=lambda text: written.append(len(text)))
+        tracemalloc.start()
+        try:
+            code = run_command(["groupoid", doc_path, "--hom", "X", "X",
+                                "--emit", str(tmp_path / "groupoid.json"),
+                                "--format", fmt], out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sum(written) > 800_000
+        assert peak < 11 * 2**20
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_closed_stdout_pipe_exits_one_without_traceback(self, doc_path, fmt):
+        # The output is far larger than a pipe's buffer, so the command is
+        # still writing when the reader goes away.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "liecross", "groupoid", doc_path,
+             "--hom", "X", "X", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert first == (b"objects=243 arrows=19683 classes=3 sizes=[81,81,81]\n"
+                         if fmt == "text" else b"{\n")
+        assert b"Traceback" not in err
+        assert err == b""
+        assert proc.returncode == 1
 
 
 # The README workspace with one action coefficient changed (cm1 fails, and
