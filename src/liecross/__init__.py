@@ -23,6 +23,7 @@ from .algebras import (
     validate_crossed_module,
     validate_lie_algebra,
 )
+from .arrows import Arrow, ArrowTable
 from .documents import (
     DerivationCertificate,
     Workspace,
@@ -31,8 +32,8 @@ from .documents import (
 )
 from .fields import FieldSpec, Scalar
 from .groupoid import (
+    DEFAULT_ARROW_BUDGET,
     DEFAULT_BUDGET,
-    Arrow,
     HomGroupoid,
     build_hom_groupoid,
     enumerate_derivations,
@@ -63,10 +64,12 @@ from .validation import Failure, ValidationReport
 __version__ = "0.1.0"
 
 __all__ = [
+    "DEFAULT_ARROW_BUDGET",
     "DEFAULT_BUDGET",
     "KERNEL_BACKEND",
     "MAX_DIM",
     "Arrow",
+    "ArrowTable",
     "CrossedModule",
     "CrossedMorphism",
     "Derivation",

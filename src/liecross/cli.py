@@ -34,8 +34,10 @@ from .errors import (
     InvariantError,
     ShapeMismatchError,
 )
+from .arrows import ArrowTable
 from .documents import Workspace, _matrix_doc, parse_workspace
 from .groupoid import (
+    DEFAULT_ARROW_BUDGET,
     DEFAULT_BUDGET,
     HomGroupoid,
     _class_scans,
@@ -191,21 +193,34 @@ def _json_list(items: Iterator[str], indent: str) -> Iterator[str]:
     yield "\n" + indent + "]"
 
 
+def _encoded_ds(arrows: ArrowTable, encoded: Callable[[LinearMap], str]) -> Iterator[str]:
+    """encoded(d) of each arrow in order, read off the rows column: each
+    distinct rows looks its d up once, and no Arrow is built."""
+    done: dict = {}
+    for t, rows in enumerate(arrows.rows):
+        text = done.get(rows)
+        if text is None:
+            text = done[rows] = encoded(arrows.d(t))
+        yield text
+
+
 def _groupoid_document(groupoid: HomGroupoid, classes: list[list[int]]) -> Iterator[str]:
     """Pieces of json.dumps of {"objects", "arrows", "classes"} with indent=2.
 
     json.dumps runs once per distinct matrix; its block, indented to the
-    depth of an entry's keys, is joined into every entry that has it.
+    depth of an entry's keys, is joined into every entry that has it.  The
+    arrows are encoded from the table's columns.
     """
     block = _per_matrix(lambda m: json.dumps(
         _matrix_doc(m), indent=2).replace("\n", "\n      "))
+    arrows = groupoid.arrows
     yield '{\n  "objects": '
     yield from _json_list((f'{{\n      "f1": {block(f.f1)},\n      "f0": {block(f.f0)}\n    }}'
                            for f in groupoid.objects), "  ")
     yield ',\n  "arrows": '
-    yield from _json_list((f'{{\n      "src": {a.src},\n      "dst": {a.dst},\n'
-                           f'      "d": {block(a.derivation.d)}\n    }}'
-                           for a in groupoid.arrows), "  ")
+    yield from _json_list((f'{{\n      "src": {s},\n      "dst": {t},\n      "d": {d}\n    }}'
+                           for s, t, d in zip(arrows.src, arrows.dst,
+                                              _encoded_ds(arrows, block))), "  ")
     yield ',\n  "classes": '
     for piece in _JSON.iterencode(classes):
         yield piece.replace("\n", "\n  ")
@@ -215,13 +230,14 @@ def _groupoid_document(groupoid: HomGroupoid, classes: list[list[int]]) -> Itera
 def _groupoid_lines(groupoid: HomGroupoid, classes: list[list[int]],
                     emit: str | None) -> Iterator[str]:
     """The text report of the groupoid command, one piece per line."""
-    yield (f"objects={len(groupoid.objects)} arrows={len(groupoid.arrows)} "
+    arrows = groupoid.arrows
+    yield (f"objects={len(groupoid.objects)} arrows={len(arrows)} "
            f"classes={len(classes)} sizes={_sizes_text(classes)}\n")
     shown = _per_matrix(str)
     for i, f in enumerate(groupoid.objects):
         yield f"object {i}: f1={shown(f.f1)} f0={shown(f.f0)}\n"
-    for t, a in enumerate(groupoid.arrows):
-        yield f"arrow {t}: {a.src} -> {a.dst} d={shown(a.derivation.d)}\n"
+    for t, (s, u, d) in enumerate(zip(arrows.src, arrows.dst, _encoded_ds(arrows, shown))):
+        yield f"arrow {t}: {s} -> {u} d={d}\n"
     if emit:
         yield f"emitted {emit}\n"
 
@@ -242,8 +258,8 @@ def _emitting(call: Callable) -> Callable:
 
 def _cmd_groupoid(ws: Workspace, args, out) -> int:
     source, target = map(ws.require_module, args.hom)
-    groupoid = build_hom_groupoid(source, target,
-                                  budget=args.budget, workers=args.workers)
+    groupoid = build_hom_groupoid(source, target, budget=args.budget,
+                                  workers=args.workers, arrow_budget=args.arrow_budget)
     classes = homotopy_classes(groupoid)
     structured = args.format == "structured"
     document = chain(_groupoid_document(groupoid, classes), ["\n"])
@@ -364,6 +380,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--hom", nargs=2, metavar=("SOURCE", "TARGET"),
                    required=True)
     p.add_argument("--emit", help="write the structured groupoid to a file")
+    p.add_argument("--arrow-budget", type=int, default=DEFAULT_ARROW_BUDGET,
+                   help="largest number of arrows the groupoid may have")
     p.set_defaults(handler=_cmd_groupoid)
 
     p = sub.add_parser("classes", parents=[common],

@@ -17,21 +17,34 @@ Derivation around them, are built on access.  Equal matrices in one result
 share one LinearMap.
 
 build_hom_groupoid scans derivations once per homotopy class, at the class's
-first object f.  Arrows compose by adding derivations and f => g by d_g has
-the inverse -d_g at g, so the derivations at another member g are exactly
-d_h - d_g for d_h in Der(f), ending where d_h does: they are residue
-differences, with no further scan or shift.  That argument needs the
-crossed-module axioms, so both modules are validated before any arrow is
-derived.  validate_groupoid stays independent of it: it adds the
-derivations of each composable pair once into a composition table that
-names each arrow by (src, d).  An arrow answers to at most one name, so both
-bracketings of a triple look up the same name and associativity is reported
-as closure; the unit and inverse laws are one lookup each.
+first object f, and every scan lowers its d through one shared map maker.
+Arrows compose by adding derivations and f => g by d_g has the inverse -d_g
+at g, so the derivations at another member g are exactly d_h - d_g for d_h
+in Der(f), ending where d_h does: they are residue differences, with no
+further scan or shift.  That argument needs the crossed-module axioms, so
+both modules are validated before any arrow is derived.  The scans also
+give the arrow count, sum over classes C of |C| |Der(f_C)|, so a groupoid
+over its arrow budget is refused before any arrow is derived.
+
+The arrows are a lazy table (ArrowTable): three columns, src, dst and the
+residue rows of d.  An Arrow and its Derivation are built only when an item
+is read, and iterating builds the missing ones in one pass.  Readers that
+need only the ends or the rows read the columns: homotopy_classes takes the
+classes from src and dst, and the CLI encodes its output from all three,
+one d per distinct rows.  A HomGroupoid given a tuple of Arrows turns it
+into a table of those arrows, kept as given, so every reader has one path.
+
+validate_groupoid stays independent of the class argument: it builds every
+arrow and adds the derivations of each composable pair once into a
+composition table that names each arrow by (src, d).  An arrow answers to
+at most one name, so both bracketings of a triple look up the same name and
+associativity is reported as closure; the unit and inverse laws are one
+lookup each.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem, itemgetter, mul
@@ -46,6 +59,7 @@ from .algebras import (
     validate_crossed_module,
     validate_lie_algebra,
 )
+from .arrows import Arrow, ArrowTable, Rows
 from .errors import (
     BudgetExceededError,
     FieldMismatchError,
@@ -59,31 +73,29 @@ from .morphisms import CrossedMorphism, validate_crossed_morphism
 from .validation import ValidationReport
 
 DEFAULT_BUDGET = 100_000_000
-
-# A matrix over GF(p) as a tuple of rows of residues.
-Rows = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Arrow:
-    """One groupoid arrow: derivation anchored at objects[src], into objects[dst]."""
-
-    src: int
-    dst: int
-    derivation: Derivation
+DEFAULT_ARROW_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
 class HomGroupoid:
-    """All morphisms between two crossed modules and all homotopies between them."""
+    """All morphisms between two crossed modules and all homotopies between them.
+
+    arrows is an ArrowTable; a tuple (or any iterable) of Arrows given here
+    becomes the table of those arrows.
+    """
 
     source_module: CrossedModule
     target_module: CrossedModule
     objects: tuple[CrossedMorphism, ...]
-    arrows: tuple[Arrow, ...]
+    arrows: ArrowTable
+
+    def __post_init__(self):
+        if not isinstance(self.arrows, ArrowTable):
+            object.__setattr__(self, "arrows", ArrowTable.of(self.arrows))
 
     def arrows_from(self, i: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.src == i]
+        arrows = self.arrows
+        return [arrows[t] for t in arrows.positions_from(i)]
 
     def __str__(self):
         return (f"HOM({self.source_module.name}, {self.target_module.name}): "
@@ -333,10 +345,15 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
 
 
 def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
-                          workers: int = 1) -> Sequence[Derivation]:
+                          workers: int = 1, *,
+                          maps: Mapping[Rows, LinearMap] | None = None
+                          ) -> Sequence[Derivation]:
     """All derivations along f over a prime field, in odometer order.
 
     The result is a LazySequence: each derivation is built on first access.
+    maps is the residue rows -> LinearMap memo that lowers the survivors
+    (one of _map_maker's, for f's d shape), so calls that share one share
+    one LinearMap per distinct d; by default each call has its own.
     workers is accepted for compatibility and has no effect.
     """
     _require_prime(f.source.field)
@@ -350,7 +367,7 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
         p, _flat_structure(f.source.p_algebra), f._f0_action,
         _flat_structure(f.target.m_algebra), rows, cols, 0, p ** (rows * cols))
     rows_of = _row_decoder(p, rows, cols)
-    d_map = _map_maker(field, rows, cols)
+    d_map = _map_maker(field, rows, cols) if maps is None else maps
     return LazySequence(len(found), lambda k: Derivation(f, d_map[rows_of(found[k])]))
 
 
@@ -366,39 +383,47 @@ def _module_report(source: CrossedModule, target: CrossedModule) -> ValidationRe
     return report
 
 
-def _class_scans(source: CrossedModule, target: CrossedModule,
-                 budget: int) -> tuple[Sequence[CrossedMorphism],
-                                       list[list[tuple[LinearMap, int]]]]:
+def _d_maps(source: CrossedModule, target: CrossedModule) -> _Memo:
+    """The map maker of the derivations' shape dim M' x dim P."""
+    return _map_maker(source.field, target.m_algebra.dim, source.p_algebra.dim)
+
+
+def _class_scans(source: CrossedModule, target: CrossedModule, budget: int,
+                 maps: Mapping[Rows, LinearMap] | None = None
+                 ) -> tuple[Sequence[CrossedMorphism], list[list[tuple[Rows, int]]]]:
     """The objects, and one derivation scan per homotopy class.
 
     Classes come in the order of their first object f, where the scan runs:
     one enumerate_derivations and one shift_morphism per derivation, each
     shifted map looked up among the objects.  A scan is the list of
-    (d, target index) of the derivations at f, in odometer order, with d
-    a LinearMap shared by equal matrices of all scans; its targets are f's
-    class.  A missing target (the modules break an axiom they were not
-    validated against) raises InvariantError with the target's morphism
-    report.  After the first scan both modules are validated: the four
-    algebras, the actions and the crossed-module axioms.  A failure raises
-    InvariantError with the merged report.
+    (d's residue rows, target index) of the derivations at f, in odometer
+    order; its targets are f's class.  Every scan lowers its d through maps
+    (by default a new _d_maps), so equal d of all scans are one LinearMap.
+    A missing target (the modules break an axiom they were not validated
+    against) raises InvariantError with the target's morphism report.
+    After the first scan both modules are validated: the four algebras, the
+    actions and the crossed-module axioms.  A failure raises InvariantError
+    with the merged report.
     """
     objects = enumerate_morphisms(source, target, budget=budget)
     position = {(f.f1._raw_rows, f.f0._raw_rows): i
                 for i, f in enumerate(objects)}
-    scans, maps = [], {}
+    if maps is None:
+        maps = _d_maps(source, target)
+    scans = []
     classed = [False] * len(objects)
     for i, f in enumerate(objects):
         if classed[i]:
             continue
         reach = []
-        for der in enumerate_derivations(f, budget=budget):
+        for der in enumerate_derivations(f, budget=budget, maps=maps):
             g = shift_morphism(f, der.d)
             j = position.get((g.f1._raw_rows, g.f0._raw_rows))
             if j is None:
                 raise InvariantError(
                     f"a homotopy target at object {i} is missing from the "
                     "object list", validate_crossed_morphism(g))
-            reach.append((maps.setdefault(der.d._raw_rows, der.d), j))
+            reach.append((der.d._raw_rows, j))
         if i == 0:
             report = _module_report(source, target)
             if not report.ok:
@@ -411,37 +436,51 @@ def _class_scans(source: CrossedModule, target: CrossedModule,
 
 
 def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
-                       budget: int = DEFAULT_BUDGET,
-                       workers: int = 1) -> HomGroupoid:
+                       budget: int = DEFAULT_BUDGET, workers: int = 1,
+                       arrow_budget: int = DEFAULT_ARROW_BUDGET) -> HomGroupoid:
     """Objects, then all derivations at each object with resolved targets.
 
     Derivations are scanned once per homotopy class, at the first object f
     not yet in a class, with the checks and errors of _class_scans: a
     missing target or a module that fails an axiom raises InvariantError
-    before any arrow is derived.  Every other member g of the class,
-    reached from f by some d_g, gets the derivations d_h - d_g for d_h in
-    Der(f), each ending where d_h does.  Each object's arrows are sorted by
-    their rows, the odometer order of a scan at that object.  The arrows
-    reuse the scans' maps, so an arrow builds a LinearMap only for a d that
-    no scan has.  workers has no effect.
+    before any arrow is derived.  The groupoid has |C| |Der(f)| arrows per
+    class C; a total above arrow_budget raises BudgetExceededError before
+    the table is filled.  Every other member g of the class, reached from
+    f by some d_g, gets the derivations d_h - d_g for d_h in Der(f), each
+    ending where d_h does.  Each object's arrows are sorted by their rows,
+    the odometer order of a scan at that object.  The arrows are an
+    ArrowTable of (src, dst, rows), filled object by object; an Arrow and
+    its Derivation are built on access, with d from the map maker the scans
+    lowered theirs through.  workers has no effect.
     """
-    objects, scans = _class_scans(source, target, budget)
+    maps = _d_maps(source, target)
+    objects, scans = _class_scans(source, target, budget, maps)
+    _check_budget(sum(len({j for _, j in reach}) * len(reach) for reach in scans),
+                  arrow_budget, "hom-groupoid arrow table")
     p = source.field.p
-    d_map = _map_maker(source.field, target.m_algebra.dim, source.p_algebra.dim)
-    minus = _Memo(lambda rs: tuple([(a - b) % p for a, b in zip(*rs)]))
+    # minus[a][row] = row - a, each distinct pair of rows once.
+    minus = _Memo(lambda a: _Memo(lambda row: tuple([(x - y) % p for x, y in zip(row, a)])))
     # out_of[j] lists (d rows, target) of the arrows at object j.
     out_of: list[list[tuple[Rows, int]]] = [[] for _ in objects]
     for reach in scans:
+        ds, targets = zip(*reach)
+        by_row = list(zip(*ds))  # by_row[r]: row r of every d in the scan
         anchors: dict[int, Rows] = {}
         for d, j in reach:
-            d_map[d._raw_rows] = d
-            anchors.setdefault(j, d._raw_rows)
+            anchors.setdefault(j, d)
         for j, d_j in anchors.items():
-            out_of[j] = sorted((tuple(map(minus.__getitem__, zip(d._raw_rows, d_j))), h)
-                               for d, h in reach)
-    arrows = [Arrow(j, h, Derivation(g, d_map[d]))
-              for j, g in enumerate(objects) for d, h in out_of[j]]
-    return HomGroupoid(source, target, tuple(objects), tuple(arrows))
+            # d - d_j for every d, subtracted row position by row position.
+            diffs = zip(*[map(minus[a].__getitem__, rows) for a, rows in zip(d_j, by_row)]
+                        ) if by_row else ds
+            out_of[j] = sorted(zip(diffs, targets))
+    src, dst, rows = [], [], []
+    for j, out in enumerate(out_of):
+        src += [j] * len(out)
+        rows += [d for d, _ in out]
+        dst += [h for _, h in out]
+    objects = tuple(objects)
+    return HomGroupoid(source, target, objects, ArrowTable(
+        tuple(src), tuple(dst), tuple(rows), objects, maps))
 
 
 def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
@@ -461,7 +500,8 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
       at t's end, which is e'.
     """
     source, target = groupoid.source_module, groupoid.target_module
-    objects, arrows = groupoid.objects, groupoid.arrows
+    # Every arrow is read many times below: build them all in one pass.
+    objects, arrows = groupoid.objects, tuple(groupoid.arrows)
     report = ValidationReport(f"HOM({source.name}, {target.name})",
                               ["endpoints", "identity", "inverse", "associativity"])
 
@@ -530,34 +570,44 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
 def homotopy_classes(groupoid: HomGroupoid) -> list[list[int]]:
     """Connected components of the groupoid, as sorted 0-based object indices.
 
-    An arrow whose src or dst names no object raises InvariantError with an
-    endpoints report, as validate_groupoid words it.  Every arrow has an
-    inverse, so directed reachability is the component; the symmetry is
-    checked rather than re-proved: an arrow i -> j without some arrow
-    j -> i raises InvariantError, whose report names the first such pair.
-    The classes are then one walk along the arrows, each started at the
-    first object not yet in a class, so they come ordered by smallest
-    member.
+    The classes are read off the table's src and dst columns, the ends of
+    the arrows, so no arrow is built.  An arrow whose src or dst names no
+    object raises InvariantError with an endpoints report, as
+    validate_groupoid words it.  Every arrow has an inverse, so directed
+    reachability is the component; the symmetry is checked rather than
+    re-proved: an arrow i -> j without some arrow j -> i raises
+    InvariantError, whose report names the first such pair.  On a passing
+    input each check is one comparison: of the set of ends with the
+    objects, and of the objects each object reaches with those that reach
+    it; only a failing check walks on to word its report.  The classes are
+    then one walk along the arrows, each started at the first object not
+    yet in a class, so they come ordered by smallest member.
     """
+    arrows = groupoid.arrows
     objs = range(len(groupoid.objects))
     report = ValidationReport(str(groupoid))
-    for t, a in enumerate(groupoid.arrows):
-        for end, i in (("anchor", a.src), ("target", a.dst)):
-            if i not in objs:
-                report.fail("endpoints", (t + 1,), f"arrow {end}",
-                            f"objects[{i}], out of range")
-    if not report.ok:
+    if not set(arrows.src).union(arrows.dst) <= set(objs):
+        for t, ends in enumerate(zip(arrows.src, arrows.dst)):
+            for end, i in zip(("anchor", "target"), ends):
+                if i not in objs:
+                    report.fail("endpoints", (t + 1,), f"arrow {end}",
+                                f"objects[{i}], out of range")
         raise InvariantError("an arrow endpoint names no object", report)
-    edges = {(a.src, a.dst) for a in groupoid.arrows}
-    one_way = min(((i, j) for i, j in edges if (j, i) not in edges), default=None)
-    if one_way is not None:
-        i, j = one_way
+    # reach[i] and came[i]: the objects with an arrow from i, and into i,
+    # each sorted once.
+    reach: list = [[] for _ in objs]
+    came: list = [[] for _ in objs]
+    for i, j in zip(arrows.src, arrows.dst):
+        reach[i].append(j)
+        came[j].append(i)
+    reach = [sorted(set(out)) for out in reach]
+    came = [sorted(set(into)) for into in came]
+    if reach != came:
+        i, j = min((i, min(one_way)) for i in objs
+                   if (one_way := set(reach[i]).difference(came[i])))
         report.fail("inverse", (i + 1, j + 1), f"arrow {i} -> {j}",
                     f"no arrow {j} -> {i}")
         raise InvariantError("arrow set is not symmetric", report)
-    reach: list[list[int]] = [[] for _ in objs]
-    for i, j in edges:
-        reach[i].append(j)
     classed = [False] * len(objs)
     classes = []
     for i in objs:

@@ -13,6 +13,8 @@ import pytest
 
 import battery
 from liecross import (
+    Arrow,
+    Derivation,
     FieldSpec,
     Workspace,
     build_hom_groupoid,
@@ -22,6 +24,7 @@ from liecross import (
     serialize_workspace,
 )
 from liecross.cli import BATCH_CHARS, _groupoid_document, _groupoid_lines, run_command
+from liecross.groupoid import DEFAULT_ARROW_BUDGET, DEFAULT_BUDGET, _class_scans
 
 X_AFF_DOC = """\
 field: GF(3)
@@ -590,3 +593,69 @@ class TestReportBytes:
         assert code == (0 if doc == "passing" else 1)
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.DIGESTS[doc, command, fmt]
+
+
+def module_document(tmp_path, xmod, name="X"):
+    """A workspace document declaring xmod as crossed module name."""
+    ws = Workspace(xmod.field)
+    ws.algebras[f"{name}_m"] = xmod.m_algebra
+    ws.algebras[f"{name}_p"] = xmod.p_algebra
+    ws.crossed_modules[name] = xmod
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(serialize_workspace(ws))
+    return str(path)
+
+
+class TestArrowTableOutput:
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_groupoid_command_builds_no_arrow(self, tmp_path, monkeypatch, fmt):
+        # The output is encoded from the table's columns: no Arrow, and no
+        # Derivation beyond those of the scans at the class representatives.
+        xmod = battery.change_basis(battery.x_aff(FieldSpec.prime(5)), 131)
+        doc = module_document(tmp_path, xmod)
+        scanned = sum(map(len, _class_scans(xmod, xmod, DEFAULT_BUDGET)[1]))
+        made = {Arrow: 0, Derivation: 0}
+        for cls in made:
+            def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+                made[_cls] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        emit = tmp_path / "groupoid.json"
+        code, text = run(["groupoid", doc, "--hom", "X", "X", "--format", fmt,
+                          "--emit", str(emit)])
+        assert code == 0
+        assert made == {Arrow: 0, Derivation: scanned}
+        monkeypatch.undo()
+        g = build_hom_groupoid(xmod, xmod)
+        document = "".join(_groupoid_document(g, homotopy_classes(g))) + "\n"
+        assert emit.read_text() == document
+        assert len(json.loads(document)["arrows"]) == len(g.arrows) == 725
+
+
+class TestArrowBudget:
+    def test_flag_bounds_the_arrow_count(self, ws_path, tmp_path):
+        emit = tmp_path / "groupoid.json"
+        code, text = run(["groupoid", ws_path, "--hom", "X_aff", "X_aff",
+                          "--arrow-budget", "98", "--emit", str(emit)])
+        assert (code, text) == (3, "error: hom-groupoid arrow table has size 99, "
+                                   "exceeding budget 98\n")
+        assert not emit.exists()
+        code, text = run(["groupoid", ws_path, "--hom", "X_aff", "X_aff",
+                          "--arrow-budget", "99"])
+        assert code == 0
+        assert text.startswith("objects=15 arrows=99 ")
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_oversized_groupoid_exits_three_before_output(self, tmp_path, fmt):
+        # plane_rank1 over GF(3): 19,683 objects in 243 classes of 81, and
+        # 729 derivations at every object, so 14,348,907 arrows.  Its scan
+        # spaces, 3^9 and 3^6, pass --budget.
+        xmod = battery.change_basis(
+            battery.partial_kernel_modules(FieldSpec.prime(3))[4], 6)
+        doc = module_document(tmp_path, xmod)
+        emit = tmp_path / "groupoid.json"
+        code, text = run(["groupoid", doc, "--hom", "X", "X", "--format", fmt,
+                          "--emit", str(emit)])
+        assert (code, text) == (3, "error: hom-groupoid arrow table has size "
+                                   f"14348907, exceeding budget {DEFAULT_ARROW_BUDGET}\n")
+        assert not emit.exists()

@@ -622,3 +622,148 @@ class TestHomotopyClasses:
             counts[(a.src, a.dst)] = counts.get((a.src, a.dst), 0) + 1
         for (i, j), n in counts.items():
             assert counts.get((j, i)) == n
+
+
+def counting(monkeypatch, cls):
+    """A list that grows by one for each cls constructed from now on."""
+    made = []
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+class TestArrowTable:
+    """HomGroupoid.arrows is an ArrowTable: columns, with arrows built on
+    access, that reads like the tuple of its arrows."""
+
+    @staticmethod
+    def fresh():
+        return build_hom_groupoid(battery.x_aff(GF3), battery.x_aff(GF3))
+
+    def test_building_makes_no_arrow(self, monkeypatch):
+        xmod = battery.x_aff(GF3)
+        scanned = sum(map(len, _class_scans(xmod, xmod, DEFAULT_BUDGET)[1]))
+        arrows = counting(monkeypatch, Arrow)
+        derivations = counting(monkeypatch, Derivation)
+        g = self.fresh()
+        # Only the scans at the class representatives make Derivations.
+        assert (len(arrows), len(derivations)) == (0, scanned)
+        first = g.arrows[0]
+        assert (len(arrows), len(derivations)) == (1, scanned + 1)
+        assert g.arrows[0] is first and g.arrows[-99] is first
+        assert (len(arrows), len(derivations)) == (1, scanned + 1)
+        assert tuple(g.arrows)[0] is first
+        assert (len(arrows), len(derivations)) == (99, scanned + 99)
+        assert list(g.arrows) == list(g.arrows)
+        assert (len(arrows), len(derivations)) == (99, scanned + 99)
+
+    def test_columns_are_the_arrows_ends_and_rows(self, aff_groupoid):
+        table = aff_groupoid.arrows
+        assert list(zip(table.src, table.dst, table.rows)) \
+            == [(a.src, a.dst, a.derivation.d._raw_rows) for a in table]
+        assert [table.d(t) for t in range(len(table))] \
+            == [a.derivation.d for a in table]
+
+    def test_reads_like_a_tuple(self):
+        g = self.fresh()
+        table, items = g.arrows, tuple(self.fresh().arrows)
+        n = len(items)
+        assert len(table) == n == 99
+        assert table[-1] == items[-1] and table[-n] == items[0]
+        assert table[-1] is table[n - 1]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                table[bad]
+        tail = table[1:]
+        assert type(tail) is tuple and tail == items[1:]
+        assert table[::-7] == items[::-7] and table[5:2] == ()
+        extra = Arrow(0, 0, items[0].derivation)
+        assert table + (extra,) == items + (extra,)
+        assert (extra,) + table[1:] == (extra,) + items[1:]
+        assert (extra,) + table == (extra,) + items
+        with pytest.raises(TypeError):
+            table + [extra]
+        assert list(table) == list(items) and list(reversed(table)) == list(items[::-1])
+        assert table.index(items[12]) == 12 and items[12] in table
+        assert table.count(items[12]) == 1
+
+    def test_equality_and_hash(self):
+        g, again = self.fresh(), self.fresh()
+        given = HomGroupoid(g.source_module, g.target_module, g.objects,
+                            tuple(self.fresh().arrows))
+        assert g == again and hash(g) == hash(again)
+        assert g == given and hash(g) == hash(given)
+        assert g.arrows == given.arrows and hash(g.arrows) == hash(given.arrows)
+        assert g.arrows != tuple(g.arrows)
+        pruned = HomGroupoid(g.source_module, g.target_module, g.objects,
+                             g.arrows[:-1])
+        assert g != pruned
+        # Same columns, another anchor: equal columns are not enough.
+        first = g.arrows[0]
+        moved = HomGroupoid(g.source_module, g.target_module, g.objects,
+                            (Arrow(first.src, first.dst,
+                                   Derivation(g.objects[1], first.derivation.d)),)
+                            + g.arrows[1:])
+        assert moved.arrows.rows == g.arrows.rows and g != moved
+
+    def test_given_arrows_are_kept(self, aff_groupoid):
+        # A derivation anchored at another groupoid's object survives.
+        xmod = battery.x_triv(GF3)
+        foreign = build_hom_groupoid(xmod, xmod).arrows[0]
+        given = HomGroupoid(aff_groupoid.source_module, aff_groupoid.target_module,
+                            aff_groupoid.objects, [foreign, aff_groupoid.arrows[3]])
+        assert given.arrows[0] is foreign and given.arrows[1] is aff_groupoid.arrows[3]
+        assert given.arrows.src == (foreign.src, aff_groupoid.arrows[3].src)
+        assert given.arrows.d(0) is foreign.derivation.d
+        assert HomGroupoid(aff_groupoid.source_module, aff_groupoid.target_module,
+                           (), ()).arrows == HomGroupoid(
+            aff_groupoid.source_module, aff_groupoid.target_module, (), []).arrows
+
+    def test_arrows_from_every_object(self, aff_groupoid):
+        for i in range(-1, len(aff_groupoid.objects) + 1):
+            assert aff_groupoid.arrows_from(i) \
+                == [a for a in aff_groupoid.arrows if a.src == i]
+        # Arrows not grouped by src.
+        shuffled = list(aff_groupoid.arrows)
+        random.Random(5).shuffle(shuffled)
+        g = HomGroupoid(aff_groupoid.source_module, aff_groupoid.target_module,
+                        aff_groupoid.objects, shuffled)
+        for i in range(len(aff_groupoid.objects)):
+            assert g.arrows_from(i) == [a for a in shuffled if a.src == i]
+
+    @pytest.mark.parametrize("p, seed", [(2, 111), (3, 112), (5, 113)])
+    def test_validators_agree_on_built_and_given_arrows(self, p, seed):
+        # validate_groupoid builds every arrow of a table, homotopy_classes
+        # reads its columns; both answer as on the tuple of its arrows.
+        pool = TestGeneratedGroupoids.pool(p, seed)
+        pairs = [(a, b) for a in pool for b in pool
+                 if TestGeneratedGroupoids.small(a, b)]
+        for a, b in pairs:
+            g = build_hom_groupoid(a, b)
+            given = HomGroupoid(a, b, g.objects, tuple(build_hom_groupoid(a, b).arrows))
+            assert homotopy_classes(g) == homotopy_classes(given), (a.name, b.name)
+            ours, theirs = validate_groupoid(g), validate_groupoid(given)
+            assert (ours.subject, ours.checks, ours.failures) \
+                == (theirs.subject, theirs.checks, theirs.failures), (a.name, b.name)
+
+
+class TestArrowBudget:
+    @pytest.mark.parametrize("p, seed", [(2, 121), (3, 122), (5, 123)])
+    def test_arrow_budget_is_exact(self, p, seed):
+        # arrow_budget = the arrow count builds the whole groupoid; one less
+        # refuses, naming the count.
+        pool = TestGeneratedGroupoids.pool(p, seed)
+        for a, b in [(a, b) for a in pool for b in pool
+                     if TestGeneratedGroupoids.small(a, b)]:
+            expected = shape(build_hom_groupoid(a, b))
+            count = expected[1]
+            assert shape(build_hom_groupoid(a, b, arrow_budget=count)) == expected
+            with pytest.raises(BudgetExceededError) as err:
+                build_hom_groupoid(a, b, arrow_budget=count - 1)
+            assert str(err.value) == (f"hom-groupoid arrow table has size {count}, "
+                                      f"exceeding budget {count - 1}")
+            assert (err.value.space, err.value.budget) == (count, count - 1)

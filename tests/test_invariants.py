@@ -135,3 +135,73 @@ def test_breaches_raise_under_python_O():
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
                          capture_output=True, text=True, check=True)
     assert res.stdout.splitlines() == ["1"] + EXPECTED
+
+
+# The checks on an ArrowTable, which homotopy_classes reads column by
+# column, and the arrow bound of build_hom_groupoid raise too.
+
+def classes_of_table_with_stray_arrow():
+    # A built table plus an arrow into an object that does not exist.
+    xtriv = battery.x_triv(GF3)
+    g = build_hom_groupoid(xtriv, xtriv)
+    stray = Arrow(0, len(g.objects), g.arrows[0].derivation)
+    homotopy_classes(HomGroupoid(xtriv, xtriv, g.objects, g.arrows + (stray,)))
+
+
+def classes_of_one_way_table():
+    # A built table without the arrows into object 0 from elsewhere.
+    xtriv = battery.x_triv(GF3)
+    g = build_hom_groupoid(xtriv, xtriv)
+    kept = [t for t in range(len(g.arrows))
+            if g.arrows.dst[t] != 0 or g.arrows.src[t] == 0]
+    homotopy_classes(HomGroupoid(xtriv, xtriv, g.objects,
+                                 tuple(g.arrows[t] for t in kept)))
+
+
+def groupoid_over_its_arrow_budget():
+    # X_aff over GF(3) has 99 arrows.
+    xaff = battery.x_aff(GF3)
+    build_hom_groupoid(xaff, xaff, arrow_budget=98)
+
+
+TABLE_BREACHES = (classes_of_table_with_stray_arrow, classes_of_one_way_table,
+                  groupoid_over_its_arrow_budget)
+
+TABLE_EXPECTED = [
+    "classes_of_table_with_stray_arrow: InvariantError, endpoints",
+    "classes_of_one_way_table: InvariantError, inverse",
+    "groupoid_over_its_arrow_budget: BudgetExceededError, "
+    "hom-groupoid arrow table has size 99, exceeding budget 98"]
+
+
+def table_outcomes() -> list[str]:
+    """What each table breach raised: the failed checks or the message."""
+    lines = []
+    for check in TABLE_BREACHES:
+        try:
+            check()
+        except LiecrossError as exc:
+            report = getattr(exc, "report", None)
+            what = (",".join(f.check for f in report.failures) if report
+                    else str(exc))
+            lines.append(f"{check.__name__}: {type(exc).__name__}, {what}")
+        else:
+            lines.append(f"{check.__name__}: nothing raised")
+    return lines
+
+
+def test_table_breaches_raise():
+    assert table_outcomes() == TABLE_EXPECTED
+
+
+def test_table_breaches_raise_under_python_O():
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    script = ("import sys, test_invariants as t; "
+              "print(sys.flags.optimize); print('\\n'.join(t.table_outcomes()))")
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines() == ["1"] + TABLE_EXPECTED
