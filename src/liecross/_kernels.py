@@ -18,7 +18,7 @@ once (_distinct).  The checks run in two stages:
   validate_crossed_morphism and is_f0_derivation first evaluate their Law
   at the lifted entries of the maps under test and return the passing
   report when every constraint vanishes; only an input that fails goes
-  through the Scalar code that builds the witnesses.
+  through the checks on vectors that build the witnesses.
 
 A candidate index names a rows x cols matrix over GF(p): entries are base-p
 digits of the index in row-major order, first entry most significant.  Each

@@ -6,9 +6,10 @@ a[i][j][k] with e_i . e_j = sum_k a[i][j][k] e_k (first index over P, last
 two over M).  A crossed module bundles M, P, a boundary map M -> P and an
 action of P on M.
 
-bracket and act have one implementation for every field: they expand on a
-sparse copy of the tensor in the field's lifted numbers (see fields) and
-lower each coordinate back to a Scalar.
+Structure and action tensors are kept as Scalars.  bracket and act have
+one implementation for every field: they expand the vectors' lifted numbers
+(see fields) through a sparse copy of the tensor in lifted numbers, and the
+resulting Vector reduces each coordinate once.
 
 Axiom checking lives in the validate_* functions, which return witness
 bearing reports instead of raising.  Constructors only reject malformed
@@ -69,8 +70,8 @@ def _coerce_tensor(field: FieldSpec, tensor, shape: tuple[int, int, int]) -> Ten
 
 def _terms(field: FieldSpec, tensor: Tensor) -> tuple[tuple[int, int, int, object], ...]:
     """The nonzero entries (i, j, k, lifted coefficient) of a tensor."""
-    lift = field._lift
-    return tuple((i, j, k, lift(c))
+    number = field._number
+    return tuple((i, j, k, number(c))
                  for i, plane in enumerate(tensor)
                  for j, row in enumerate(plane)
                  for k, c in enumerate(row) if c)
@@ -78,8 +79,8 @@ def _terms(field: FieldSpec, tensor: Tensor) -> tuple[tuple[int, int, int, objec
 
 def _flat(field: FieldSpec, tensor: Tensor) -> tuple:
     """The entries of a tensor as lifted numbers, flat in row-major order."""
-    lift = field._lift
-    return tuple(lift(c) for plane in tensor for row in plane for c in row)
+    number = field._number
+    return tuple(number(c) for plane in tensor for row in plane for c in row)
 
 
 def _flat_structure(algebra: "LieAlgebra") -> tuple:
@@ -88,14 +89,11 @@ def _flat_structure(algebra: "LieAlgebra") -> tuple:
 
 def _expand(field: FieldSpec, terms, x: Vector, y: Vector, dim: int) -> Vector:
     """Bilinear expansion of x, y through the terms of a tensor, as a Vector."""
-    lift = field._lift
-    xs = list(map(lift, x.entries))
-    ys = list(map(lift, y.entries))
+    xs, ys = x._numbers, y._numbers
     out = [0] * dim
     for i, j, k, c in terms:
         out[k] += xs[i] * ys[j] * c
-    lower = field._lower
-    return Vector(field, tuple([lower(v) for v in out]))
+    return Vector(field, out)
 
 
 def _sparse_to_dense(field: FieldSpec, shape: tuple[int, int, int],
@@ -386,8 +384,8 @@ def _verified(xmod: CrossedModule) -> CrossedModule:
 
 
 def _span_coordinates(algebra: LieAlgebra, left: Sequence[Vector],
-                      right: Sequence[Vector]) -> Tensor:
-    """[u_i, v_j] in coordinates over right, for u_i in left and v_j in right.
+                      right: Sequence[Vector]) -> tuple:
+    """[u_i, v_j] in lifted coordinates over right, for u_i in left, v_j in right.
 
     right must be independent.  NotAnIdealError names the first (i, j), in
     1-based lexicographic order, whose bracket leaves the span of right.
@@ -401,7 +399,7 @@ def _span_coordinates(algebra: LieAlgebra, left: Sequence[Vector],
             coords = coords_of(w)
             if coords is None:
                 raise NotAnIdealError((i + 1, j + 1), w)
-            row.append(coords.entries)
+            row.append(coords._numbers)
         out.append(tuple(row))
     return tuple(out)
 
@@ -452,7 +450,7 @@ def image_is_ideal(xmod: CrossedModule) -> ImageIdealResult:
     """
     boundary = xmod.boundary
     # The pivot columns are those that raise the rank of the ones before.
-    _, pivots = _row_reduce([list(row) for row in boundary.entries], xmod.field)
+    _, pivots = _row_reduce(boundary._numbers, xmod.field)
     spanning = tuple(boundary.column(j) for j in pivots)
     try:
         _span_coordinates(xmod.p_algebra, xmod.p_algebra.basis_vectors(), spanning)

@@ -32,7 +32,7 @@ class ArrowTable(Sequence):
     """The arrows of a hom-groupoid as three read-only parallel columns.
 
     Arrow t runs from objects[src[t]] to objects[dst[t]], and rows[t] is
-    its d as lifted rows (see LinearMap._raw_rows; residues over GF(p)).
+    its d as the map stores it (residue rows; see linalg).
     A table that build_hom_groupoid fills builds Arrow t, anchored at
     objects[src[t]] with its d from the build's map maker, on first access;
     a table of given arrows (ArrowTable.of) holds them as they are.  Items
@@ -61,7 +61,7 @@ class ArrowTable(Sequence):
         """The table of the given arrows, kept as they are."""
         arrows = tuple(arrows)
         table = cls(tuple([a.src for a in arrows]), tuple([a.dst for a in arrows]),
-                    tuple([a.derivation.d._raw_rows for a in arrows]), (), None)
+                    tuple([a.derivation.d._numbers for a in arrows]), (), None)
         table._items[:] = arrows
         table._complete = True
         return table

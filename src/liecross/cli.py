@@ -170,9 +170,9 @@ def _per_matrix(encode: Callable[[LinearMap], str]) -> Callable[[LinearMap], str
     done: dict = {}
 
     def encoded(m: LinearMap) -> str:
-        text = done.get(m._raw_rows)
+        text = done.get(m._numbers)
         if text is None:
-            text = done[m._raw_rows] = encode(m)
+            text = done[m._numbers] = encode(m)
         return text
     return encoded
 

@@ -301,7 +301,7 @@ def parse_workspace(text: str) -> Workspace:
 
 
 def _matrix_doc(m: LinearMap) -> list[list[str]]:
-    return [[str(e) for e in row] for row in m.entries]
+    return [list(map(str, row)) for row in m._numbers]
 
 
 def _sparse_doc(tensor, antisymmetric: bool) -> list[dict]:

@@ -14,18 +14,20 @@ identity first and fall back to structural equality, so a FieldSpec built
 directly still works (with its own residue table) and still mixes with the
 shared one.
 
-This module alone knows how a field stores its values.  Bulk arithmetic
-elsewhere (matrix products, bracket and action expansions) goes through two
-private conversions of each FieldSpec:
+This module alone knows how a field stores its values.  Vectors and linear
+maps (see linalg) store the field's lifted numbers, the plain numbers Python
+computes on: residue ints in [0, p) over GF(p), exact Fractions over QQ.
+Three private functions of each FieldSpec convert and reduce them:
 
-* field._lift(s) turns a Scalar into the plain number Python computes on:
-  its residue int over GF(p), a Fraction over QQ;
-* field._lower(v) turns a sum of products of lifted numbers (an int or a
-  Fraction) back into a Scalar: the shared scalar of v mod p over GF(p), a
-  new Scalar in lowest terms over QQ.
-
-Lifted numbers of one field are equal exactly when their scalars are, so
-tuples of them can key dicts.
+* field._number(x) turns anything the field accepts (an int, a Fraction, a
+  literal or a Scalar of the field) into its lifted number; given a sum of
+  products of lifted numbers it reduces the sum: mod p over GF(p), as is
+  over QQ.  Lifted numbers of one field are equal exactly when their
+  scalars are, so tuples of them can key dicts;
+* field._inverse(v) is the lifted number of 1/v, for nonzero v;
+* field._lower(v) turns a lifted number back into its Scalar: the shared
+  scalar over GF(p), a new Scalar over QQ.  Only the Scalar views of
+  vectors and maps call it.
 
 Serialization: rationals render as "a/b", with "/b" omitted when b = 1;
 prime-field elements render as their decimal residue.
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter
 from fractions import Fraction
 from math import gcd
 
@@ -102,14 +103,18 @@ class FieldSpec:
         # Not dataclass fields, so equality, hashing and repr ignore them.
         if self.kind == PRIME:
             residues, p = _Residues(self), self.p
-            lift = attrgetter("num")
+            number = lambda v: v % p if v.__class__ is int else self.scalar(v).num
+            inverse = lambda v: pow(v, -1, p)
             lower = lambda v: residues[v % p]
         else:
             residues = None
-            lift = Scalar.as_fraction
+            number = lambda v: v if v.__class__ is Fraction else (
+                Fraction(v) if v.__class__ is int else self.scalar(v).as_fraction())
+            inverse = lambda v: 1 / v
             lower = lambda v: Scalar(self, v.numerator, v.denominator)
         object.__setattr__(self, "_residues", residues)
-        object.__setattr__(self, "_lift", lift)
+        object.__setattr__(self, "_number", number)
+        object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(self, "_lower", lower)
 
     def __reduce__(self):

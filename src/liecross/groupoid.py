@@ -10,14 +10,14 @@ enumerate_morphisms).  The output order still matches the odometer over
 concatenated (f1, f0) entries, so results are identical to a full product
 scan.
 
-All kernel and join work happens on plain integer residues, and survivors
-stay residue rows until a result item is built: both enumerations return a
-LazySequence whose LinearMaps of exact Scalars, and the CrossedMorphism or
-Derivation around them, are built on access.  Equal matrices in one result
-share one LinearMap.
+All kernel and join work happens on plain integer residues, the numbers a
+LinearMap over GF(p) stores, and survivors stay residue rows until a result
+item is built: both enumerations return a LazySequence whose LinearMaps, and
+the CrossedMorphism or Derivation around them, are built on access.  Equal
+matrices in one result share one LinearMap.
 
 build_hom_groupoid scans derivations once per homotopy class, at the class's
-first object f, and every scan lowers its d through one shared map maker.
+first object f, and every scan makes its d through one shared map maker.
 Arrows compose by adding derivations and f => g by d_g has the inverse -d_g
 at g, so the derivations at another member g are exactly d_h - d_g for d_h
 in Der(f), ending where d_h does: they are residue differences, with no
@@ -162,10 +162,9 @@ def _row_decoder(p: int, rows: int, cols: int) -> Callable[[int], Rows]:
 
 
 def _map_maker(field: FieldSpec, rows: int, cols: int) -> _Memo:
-    """Residue rows -> the rows x cols LinearMap they name over field: each
-    distinct row is lowered once and each distinct matrix makes one map."""
-    lowered = _Memo(lambda row: tuple(map(field._lower, row))).__getitem__
-    return _Memo(lambda m: LinearMap(field, rows, cols, tuple(map(lowered, m))))
+    """Residue rows -> the rows x cols LinearMap they name over field, one
+    map per distinct matrix."""
+    return _Memo(lambda m: LinearMap(field, rows, cols, m))
 
 
 def _transpose(m: Rows, cols: int) -> Rows:
@@ -228,8 +227,7 @@ def _defect_rows(source: CrossedModule, target: CrossedModule) -> list[int]:
     pass validate_crossed_module; the f0 scan checks every ordered pair,
     each distinct constraint once, so no bracket needs to alternate."""
     dm2 = target.m_algebra.dim
-    _, pivots = _row_reduce([list(row) for row in target.boundary.entries],
-                            target.field)
+    _, pivots = _row_reduce(target.boundary._numbers, target.field)
     modules = (source,) if target == source else (source, target)
     if pivots and not all(validate_crossed_module(x).ok for x in modules):
         return list(range(dm2))
@@ -278,8 +276,8 @@ def enumerate_morphisms(source: CrossedModule, target: CrossedModule,
     # are sums of per-distinct-vector shares.  Only the f0 whose code some
     # f1 has are kept.
     square = _weights(dp2, dm, p)
-    f1_side = _column_shares(target.boundary._raw_rows, square, dm, p)
-    f0_side = _row_shares(source.boundary._raw_rows, dm, square, p)
+    f1_side = _column_shares(target.boundary._numbers, square, dm, p)
+    f0_side = _row_shares(source.boundary._numbers, dm, square, p)
     f1_keys = [sum(map(getitem, f1_side, zip(*f1))) for f1 in f1s]
     f0_keys = map(sum, zip([0] * len(f0s), *[map(shares.__getitem__, map(
         itemgetter(r), f0s)) for r, shares in enumerate(f0_side)]))
@@ -351,7 +349,7 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
     """All derivations along f over a prime field, in odometer order.
 
     The result is a LazySequence: each derivation is built on first access.
-    maps is the residue rows -> LinearMap memo that lowers the survivors
+    maps is the residue rows -> LinearMap memo that makes the survivors
     (one of _map_maker's, for f's d shape), so calls that share one share
     one LinearMap per distinct d; by default each call has its own.
     workers is accepted for compatibility and has no effect.
@@ -397,7 +395,7 @@ def _class_scans(source: CrossedModule, target: CrossedModule, budget: int,
     one enumerate_derivations and one shift_morphism per derivation, each
     shifted map looked up among the objects.  A scan is the list of
     (d's residue rows, target index) of the derivations at f, in odometer
-    order; its targets are f's class.  Every scan lowers its d through maps
+    order; its targets are f's class.  Every scan makes its d through maps
     (by default a new _d_maps), so equal d of all scans are one LinearMap.
     A missing target (the modules break an axiom they were not validated
     against) raises InvariantError with the target's morphism report.
@@ -406,7 +404,7 @@ def _class_scans(source: CrossedModule, target: CrossedModule, budget: int,
     with the merged report.
     """
     objects = enumerate_morphisms(source, target, budget=budget)
-    position = {(f.f1._raw_rows, f.f0._raw_rows): i
+    position = {(f.f1._numbers, f.f0._numbers): i
                 for i, f in enumerate(objects)}
     if maps is None:
         maps = _d_maps(source, target)
@@ -418,12 +416,12 @@ def _class_scans(source: CrossedModule, target: CrossedModule, budget: int,
         reach = []
         for der in enumerate_derivations(f, budget=budget, maps=maps):
             g = shift_morphism(f, der.d)
-            j = position.get((g.f1._raw_rows, g.f0._raw_rows))
+            j = position.get((g.f1._numbers, g.f0._numbers))
             if j is None:
                 raise InvariantError(
                     f"a homotopy target at object {i} is missing from the "
                     "object list", validate_crossed_morphism(g))
-            reach.append((der.d._raw_rows, j))
+            reach.append((der.d._numbers, j))
         if i == 0:
             report = _module_report(source, target)
             if not report.ok:
@@ -451,7 +449,7 @@ def build_hom_groupoid(source: CrossedModule, target: CrossedModule,
     the odometer order of a scan at that object.  The arrows are an
     ArrowTable of (src, dst, rows), filled object by object; an Arrow and
     its Derivation are built on access, with d from the map maker the scans
-    lowered theirs through.  workers has no effect.
+    made theirs with.  workers has no effect.
     """
     maps = _d_maps(source, target)
     objects, scans = _class_scans(source, target, budget, maps)
@@ -524,23 +522,23 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
         if a.src in objs and a.dst in objs and fits:
             kept.append(t)
 
-    by_key = {(arrows[t].src, arrows[t].derivation.d._raw_rows): t for t in kept}
+    by_key = {(arrows[t].src, arrows[t].derivation.d._numbers): t for t in kept}
     out_of: list[list[int]] = [[] for _ in objects]
     for t in kept:
         out_of[arrows[t].src].append(t)
     pos = {t: k for out in out_of for k, t in enumerate(out)}
 
     # table[t][k] composes t with out_of[arrows[t].dst][k]; None if missing.
-    # d1 + d2 is summed on raw rows, each distinct pair of rows once.
-    lift, lower = source.field._lift, source.field._lower
-    plus = _Memo(lambda rs: tuple([lift(lower(x + y)) for x, y in zip(*rs)]))
+    # d1 + d2 is summed on stored rows, each distinct pair of rows once.
+    number = source.field._number
+    plus = _Memo(lambda rs: tuple([number(x + y) for x, y in zip(*rs)]))
     table: list[list[int | None]] = [[] for _ in arrows]
     for t1 in kept:
         a, row = arrows[t1], table[t1]
-        d1 = a.derivation.d._raw_rows
+        d1 = a.derivation.d._numbers
         for t2 in out_of[a.dst]:
             b = arrows[t2]
-            d12 = tuple(map(plus.__getitem__, zip(d1, b.derivation.d._raw_rows)))
+            d12 = tuple(map(plus.__getitem__, zip(d1, b.derivation.d._numbers)))
             t12 = by_key.get((a.src, d12))
             if t12 is None or arrows[t12].dst != b.dst:
                 report.fail("associativity", (t1 + 1, t2 + 1),
@@ -549,7 +547,7 @@ def validate_groupoid(groupoid: HomGroupoid) -> ValidationReport:
             row.append(t12)
 
     # Identities are zero-derivation loops; inverses compose to them.
-    zero = LinearMap.zero(source.field, *shape)._raw_rows
+    zero = LinearMap.zero(source.field, *shape)._numbers
     ident = [by_key.get((i, zero)) for i in range(len(objects))]
     for i, e in enumerate(ident):
         if e is None or arrows[e].dst != i:

@@ -9,10 +9,12 @@ shifts f to a new morphism g with g0 = f0 + boundary' . d and
 g1 = f1 + d . boundary.  Such a d is an arrow f => g; the zero map, -d and
 d + d' provide identities, inverses and composition.
 
-is_f0_derivation evaluates the derivation law compiled at f (see _kernels
-and CrossedMorphism._derivation_law) at d's lifted entries first and
-returns the passing report straight from it; only a d that fails runs the
-Scalar check, which builds the witnesses.
+d is a LinearMap, so every arrow operation is map arithmetic on the
+field's lifted numbers (see linalg).  is_f0_derivation evaluates the
+derivation law compiled at f (see _kernels and
+CrossedMorphism._derivation_law) at d's stored entries first and returns
+the passing report straight from it; only a d that fails runs the check on
+basis vectors, which builds the Vector witnesses.
 """
 
 from __future__ import annotations

@@ -1,58 +1,60 @@
 """Exact vectors and linear maps between based spaces.
 
-A LinearMap is stored as a dense rows x cols matrix of Scalars; column j is
-the image of the j-th domain basis vector.  Everything is immutable, so maps
-and vectors can key dicts and be shared across threads.  apply and compose
-have one implementation for every field: they multiply the field's lifted
-numbers (see fields) and lower each sum back to a Scalar.
+A Vector or LinearMap stores its coordinates once, as the field's lifted
+numbers (see fields): residue ints over GF(p), exact Fractions over QQ.  A
+map is a dense rows x cols matrix of them; column j is the image of the
+j-th domain basis vector.  The constructors take anything the field
+accepts (Scalars of the field, ints, Fractions, literals) and reduce each
+entry once, so arithmetic, apply and compose hand them unreduced sums.
+entries is a read-only view of the coordinates as Scalars, built on each
+read; str prints the stored numbers, which render as the Scalars do.
+Everything is immutable, so maps and vectors can key dicts and be shared
+across threads; equal values over one field store equal numbers, so they
+compare and hash equal however they were built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError, ShapeMismatchError
 from .fields import FieldSpec, Scalar, same_field
 
 
-def _coerce_row(field: FieldSpec, values) -> tuple[Scalar, ...]:
-    return tuple(field.scalar(v) for v in values)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Vector:
     """Coordinates of an element in a fixed basis."""
 
     field: FieldSpec
-    entries: tuple[Scalar, ...]
+    _numbers: tuple
 
-    def __post_init__(self):
-        field = self.field
-        for e in self.entries:
-            if e.field is not field and e.field != field:
-                raise FieldMismatchError("vector entry from a different field")
+    def __init__(self, field: FieldSpec, entries: Iterable):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_numbers", tuple(map(field._number, entries)))
 
     @classmethod
     def make(cls, field: FieldSpec, values: Iterable) -> "Vector":
-        return cls(field, _coerce_row(field, values))
+        return cls(field, values)
 
     @classmethod
     def zero(cls, field: FieldSpec, dim: int) -> "Vector":
-        return cls(field, tuple(field.zero() for _ in range(dim)))
+        return cls(field, (0,) * dim)
 
     @classmethod
     def basis(cls, field: FieldSpec, dim: int, i: int) -> "Vector":
         if not 0 <= i < dim:
             raise ShapeMismatchError(f"basis index {i} out of range for dim {dim}")
-        return cls(field, tuple(field.one() if k == i else field.zero()
-                                for k in range(dim)))
+        return cls(field, [int(k == i) for k in range(dim)])
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        return tuple(map(self.field._lower, self._numbers))
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._numbers)
 
     def _check(self, other: "Vector"):
         if not same_field(other.field, self.field):
@@ -62,54 +64,52 @@ class Vector:
 
     def __add__(self, other):
         self._check(other)
-        return Vector(self.field, tuple(a + b for a, b in
-                                        zip(self.entries, other.entries)))
+        return Vector(self.field, map(add, self._numbers, other._numbers))
 
     def __sub__(self, other):
         self._check(other)
-        return Vector(self.field, tuple(a - b for a, b in
-                                        zip(self.entries, other.entries)))
+        return Vector(self.field, map(sub, self._numbers, other._numbers))
 
     def __neg__(self):
-        return Vector(self.field, tuple(-a for a in self.entries))
+        return Vector(self.field, map(neg, self._numbers))
 
     def scale(self, s: Scalar) -> "Vector":
-        return Vector(self.field, tuple(s * a for a in self.entries))
+        c = self.field._number(s)
+        return Vector(self.field, [c * a for a in self._numbers])
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self._numbers)
 
     def __str__(self):
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+        return "(" + ", ".join(map(str, self._numbers)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearMap:
     """A rows x cols matrix over an exact field, acting on column vectors."""
 
     field: FieldSpec
     rows: int
     cols: int
-    entries: tuple[tuple[Scalar, ...], ...]
+    _numbers: tuple[tuple, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ShapeMismatchError(
-                f"expected {self.rows} rows, got {len(self.entries)}")
-        field = self.field
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ShapeMismatchError(
-                    f"expected {self.cols} columns, got {len(row)}")
-            for e in row:
-                if e.field is not field and e.field != field:
-                    raise FieldMismatchError("matrix entry from a different field")
+    def __init__(self, field: FieldSpec, rows: int, cols: int, entries: Iterable):
+        number = field._number
+        numbers = tuple([tuple(map(number, row)) for row in entries])
+        if len(numbers) != rows:
+            raise ShapeMismatchError(f"expected {rows} rows, got {len(numbers)}")
+        for row in numbers:
+            if len(row) != cols:
+                raise ShapeMismatchError(f"expected {cols} columns, got {len(row)}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_numbers", numbers)
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "LinearMap":
-        entries = tuple(_coerce_row(field, row) for row in rows)
-        n_cols = len(entries[0]) if entries else 0
-        return cls(field, len(entries), n_cols, entries)
+    def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable]) -> "LinearMap":
+        rows = [tuple(row) for row in rows]
+        return cls(field, len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, columns: Sequence[Vector],
@@ -123,19 +123,21 @@ class LinearMap:
                 raise ShapeMismatchError("columns of unequal dimension")
             if not same_field(c.field, field):
                 raise FieldMismatchError("column from a different field")
-        entries = tuple(tuple(c.entries[r] for c in columns) for r in range(rows))
-        return cls(field, rows, len(columns), entries)
+        return cls(field, rows, len(columns),
+                   [[c._numbers[r] for c in columns] for r in range(rows)])
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "LinearMap":
-        return cls.from_rows(field, [[1 if i == j else 0 for j in range(n)]
-                                     for i in range(n)])
+        return cls(field, n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, field: FieldSpec, rows: int, cols: int) -> "LinearMap":
-        z = field.zero()
-        return cls(field, rows, cols, tuple(tuple(z for _ in range(cols))
-                                            for _ in range(rows)))
+        return cls(field, rows, cols, ((0,) * cols,) * rows)
+
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        lower = self.field._lower
+        return tuple([tuple(map(lower, row)) for row in self._numbers])
 
     def _require_shape(self, rows: int, cols: int, what: str):
         """ShapeMismatchError, naming the map as what, unless it is rows x cols."""
@@ -143,17 +145,8 @@ class LinearMap:
             raise ShapeMismatchError(
                 f"{what} is {self.rows}x{self.cols}, expected {rows}x{cols}")
 
-    @cached_property
-    def _raw_rows(self) -> tuple[tuple, ...]:
-        """The entries as the field's lifted numbers, built on first use.
-
-        Equal maps over one field have equal raw rows, so they can key dicts.
-        """
-        lift = self.field._lift
-        return tuple(tuple(map(lift, row)) for row in self.entries)
-
     def column(self, j: int) -> Vector:
-        return Vector(self.field, tuple(row[j] for row in self.entries))
+        return Vector(self.field, [row[j] for row in self._numbers])
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
@@ -165,11 +158,8 @@ class LinearMap:
         if v.dim != self.cols:
             raise ShapeMismatchError(
                 f"map with {self.cols} columns applied to a {v.dim}-vector")
-        field = self.field
-        lower = field._lower
-        xs = list(map(field._lift, v.entries))
-        return Vector(field, tuple(
-            [lower(sum(map(mul, row, xs))) for row in self._raw_rows]))
+        xs = v._numbers
+        return Vector(self.field, [sum(map(mul, row, xs)) for row in self._numbers])
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other: compose(f, g)(v) = f(g(v))."""
@@ -179,12 +169,10 @@ class LinearMap:
             raise ShapeMismatchError(
                 f"cannot compose {self.rows}x{self.cols} after "
                 f"{other.rows}x{other.cols}")
-        lower = self.field._lower
-        rhs = other._raw_rows
+        rhs = other._numbers
         cols = [[row[c] for row in rhs] for c in range(other.cols)]
-        return LinearMap(self.field, self.rows, other.cols, tuple(
-            tuple([lower(sum(map(mul, row, col))) for col in cols])
-            for row in self._raw_rows))
+        return LinearMap(self.field, self.rows, other.cols, [
+            [sum(map(mul, row, col)) for col in cols] for row in self._numbers])
 
     def __add__(self, other):
         if not isinstance(other, LinearMap):
@@ -195,23 +183,21 @@ class LinearMap:
             raise ShapeMismatchError(
                 f"adding a {self.rows}x{self.cols} map to a "
                 f"{other.rows}x{other.cols} map")
-        return LinearMap(self.field, self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
+        return LinearMap(self.field, self.rows, self.cols, [
+            map(add, r1, r2) for r1, r2 in zip(self._numbers, other._numbers)])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return LinearMap(self.field, self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.entries))
+                         [map(neg, row) for row in self._numbers])
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return not any(map(any, self._numbers))
 
     def rank(self) -> int:
-        _, pivots = _row_reduce([list(r) for r in self.entries], self.field)
-        return len(pivots)
+        return len(_row_reduce(self._numbers, self.field)[1])
 
     def solve(self, v: Vector) -> Vector | None:
         """One exact solution x of self . x = v, or None if inconsistent.
@@ -219,38 +205,41 @@ class LinearMap:
         Free coordinates (if the kernel is nontrivial) are set to zero, so
         the result is deterministic.
         """
+        if not same_field(v.field, self.field):
+            raise FieldMismatchError("map and vector from different fields")
         if v.dim != self.rows:
             raise ShapeMismatchError(
                 f"solving a {self.rows}-row system against a {v.dim}-vector")
-        aug = [list(row) + [v.entries[r]] for r, row in enumerate(self.entries)]
-        reduced, pivots = _row_reduce(aug, self.field, stop_col=self.cols)
-        zero = self.field.zero()
-        for r in range(len(pivots), self.rows):
-            if reduced[r][self.cols]:
-                return None
-        out = [zero] * self.cols
-        for r, c in enumerate(pivots):
-            out[c] = reduced[r][self.cols]
-        return Vector(self.field, tuple(out))
+        cols = self.cols
+        reduced, pivots = _row_reduce(
+            [row + (x,) for row, x in zip(self._numbers, v._numbers)],
+            self.field, stop_col=cols)
+        if any(row[cols] for row in reduced[len(pivots):]):
+            return None
+        out = [0] * cols
+        for row, c in zip(reduced, pivots):
+            out[c] = row[cols]
+        return Vector(self.field, out)
 
     def __str__(self):
         return "[" + ",".join(
-            "[" + ",".join(str(e) for e in row) + "]" for row in self.entries
-        ) + "]"
+            "[" + ",".join(map(str, row)) + "]" for row in self._numbers) + "]"
 
 
 def _entries(*maps: LinearMap) -> list:
     """The maps' lifted entries, row-major, one map after another: the point
     at which a compiled law (see _kernels) is evaluated."""
-    return [v for m in maps for row in m._raw_rows for v in row]
+    return [v for m in maps for row in m._numbers for v in row]
 
 
-def _row_reduce(rows: list[list[Scalar]], field: FieldSpec,
-                stop_col: int | None = None) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _row_reduce(rows: Sequence[Sequence], field: FieldSpec,
+                stop_col: int | None = None) -> tuple[list, list[int]]:
+    """Reduced row echelon form of rows of lifted numbers (the given rows are
+    not changed); returns (the reduced rows, pivot columns)."""
+    rows = list(rows)
+    number = field._number
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    limit = n_cols if stop_col is None else stop_col
+    limit = (len(rows[0]) if rows else 0) if stop_col is None else stop_col
     pivots: list[int] = []
     r = 0
     for c in range(limit):
@@ -258,12 +247,12 @@ def _row_reduce(rows: list[list[Scalar]], field: FieldSpec,
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one() / rows[r][c]
-        rows[r] = [inv * a for a in rows[r]]
+        inv = field._inverse(rows[r][c])
+        rows[r] = [number(inv * a) for a in rows[r]]
         for i in range(n_rows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [number(a - f * b) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == n_rows:

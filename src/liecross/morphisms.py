@@ -7,8 +7,8 @@ morphisms deduplicate and hash consistently.
 
 validate_crossed_morphism first evaluates its compiled law (see _kernels)
 at the maps' lifted entries and returns the passing report straight from
-it.  Only an input that fails runs the Scalar checks, which build the
-witnesses.  The law is compiled on first use and kept on the source
+it.  Only an input that fails runs the checks on basis vectors, which
+build the witnesses.  The law is compiled on first use and kept on the source
 module, by target.
 """
 
@@ -56,7 +56,7 @@ class CrossedMorphism:
         """f0's action on M' as the kernels' flat table: entry
         (i*rows + b)*rows + r is the r-th coordinate of f0(e_i) . e_b, in
         lifted numbers (not reduced mod p)."""
-        rows, f0 = self.target.m_algebra.dim, self.f0._raw_rows
+        rows, f0 = self.target.m_algebra.dim, self.f0._numbers
         rho = [self.target.action._matrix([row[i] for row in f0])
                for i in range(self.source.p_algebra.dim)]
         return tuple(m[r][b] for m in rho for b in range(rows) for r in range(rows))

@@ -17,7 +17,7 @@ calls on every shift, check in two stages.  They first evaluate the law compiled
 _kernels) at the lifted entries of the maps under test; when every residue
 term vanishes they return the passing report directly, with the same
 subject and the same checks in the same order.  Only an input that fails
-runs the Scalar checks through ValidationReport.check, which build the
+runs the checks on vectors through ValidationReport.check, which build the
 witnesses, so failing reports are the same whichever stage decided.
 """
 

@@ -503,8 +503,8 @@ class TestGroupoidBytes:
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_traced_peak_stays_below_the_document(self, doc_path, tmp_path, fmt):
-        # The groupoid itself peaks at about 7.7 MB; the 4.0 MB document
-        # held as one string, let alone its copies, would pass the bound.
+        # The command peaks below 4 MiB in both formats; the 4.0 MB document
+        # held as one string on top of that would pass the bound.
         written = []
         out = SimpleNamespace(write=lambda text: written.append(len(text)))
         tracemalloc.start()
@@ -517,7 +517,7 @@ class TestGroupoidBytes:
             tracemalloc.stop()
         assert code == 0
         assert sum(written) > 800_000
-        assert peak < 11 * 2**20
+        assert peak < 6 * 2**20
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_closed_stdout_pipe_exits_one_without_traceback(self, doc_path, fmt):

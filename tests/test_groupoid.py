@@ -664,7 +664,7 @@ class TestArrowTable:
     def test_columns_are_the_arrows_ends_and_rows(self, aff_groupoid):
         table = aff_groupoid.arrows
         assert list(zip(table.src, table.dst, table.rows)) \
-            == [(a.src, a.dst, a.derivation.d._raw_rows) for a in table]
+            == [(a.src, a.dst, a.derivation.d._numbers) for a in table]
         assert [table.d(t) for t in range(len(table))] \
             == [a.derivation.d for a in table]
 

@@ -1,11 +1,15 @@
 """Vectors, exact linear maps, solving, and span coordinates."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from battery import PARITY_FIELDS, numbers, raw_values, reduced
-from liecross import FieldSpec, LinearMap, Vector
+from liecross import FieldSpec, LinearMap, Scalar, Vector
+from liecross.documents import _matrix_doc
 from liecross.errors import FieldMismatchError, ShapeMismatchError
+from liecross.fields import same_field
 
 QQ = FieldSpec.rational()
 GF3 = FieldSpec.prime(3)
@@ -176,3 +180,114 @@ class TestSpanSolver:
         coords = span_solver([], GF3, 2)
         assert coords(Vector.zero(GF3, 2)).dim == 0
         assert coords(vec3([1, 0])) is None
+
+
+class TestFieldChecks:
+    """Operations that take a vector or a scalar refuse one of another
+    field, whatever the dimension."""
+
+    @pytest.mark.parametrize("field, other", [(GF3, FieldSpec.prime(5)),
+                                              (GF3, QQ), (QQ, GF3)])
+    def test_solve_refuses_a_vector_of_another_field(self, field, other):
+        with pytest.raises(FieldMismatchError):
+            LinearMap.zero(field, 1, 1).solve(Vector.make(other, [0]))
+
+    @pytest.mark.parametrize("other", [FieldSpec.prime(5), QQ])
+    @pytest.mark.parametrize("dim", [0, 2])
+    def test_scale_refuses_a_scalar_of_another_field(self, other, dim):
+        with pytest.raises(FieldMismatchError):
+            Vector.zero(GF3, dim).scale(other.one())
+
+
+def spellings(field, s):
+    """Inputs naming the scalar s of field: s itself, its literal, a Fraction
+    and an int (over GF(p) an unreduced one; over QQ only if s is integral)."""
+    if field.is_prime_field:
+        # p + 1 is 1 mod p, so s.num / (p + 1) is s.num in GF(p).
+        return [s, str(s), Fraction(s.num, field.p + 1), s.num - 2 * field.p]
+    return [s, str(s), s.as_fraction()] + ([s.num] if s.den == 1 else [])
+
+
+def spelled(data, field, scalars):
+    return [data.draw(st.sampled_from(spellings(field, s))) for s in scalars]
+
+
+def scalar_rows(data, field, rows, cols):
+    raw = raw_matrix(data, field, rows, cols)
+    return [[field.scalar(v) for v in row] for row in raw]
+
+
+def assert_reads_as(value, field, scalars):
+    """value's Scalar view is scalars, all of field, and it prints as they do."""
+    if isinstance(value, Vector):
+        assert value.entries == tuple(scalars)
+        assert all(type(e) is Scalar and same_field(e.field, field)
+                   for e in value.entries)
+        assert str(value) == "(" + ", ".join(map(str, scalars)) + ")"
+        return
+    assert value.entries == tuple(map(tuple, scalars))
+    assert all(type(e) is Scalar and same_field(e.field, field)
+               for row in value.entries for e in row)
+    assert str(value) == "[" + ",".join(
+        "[" + ",".join(map(str, row)) + "]" for row in scalars) + "]"
+    assert _matrix_doc(value) == [[str(e) for e in row] for row in scalars]
+
+
+class TestOneStoredForm:
+    """A map or vector built from Scalars, from ints, Fractions or literals,
+    or by arithmetic equals, hashes, prints and reads back as the same one."""
+
+    @given(st.data())
+    def test_every_build_of_a_map_is_one_map(self, data):
+        field = data.draw(st.sampled_from(PARITY_FIELDS))
+        rows, cols = data.draw(dims), data.draw(dims)
+        want = scalar_rows(data, field, rows, cols)
+        m = LinearMap(field, rows, cols, tuple(map(tuple, want)))
+        other = LinearMap(field, rows, cols, scalar_rows(data, field, rows, cols))
+        basis = [Vector.basis(field, cols, j) for j in range(cols)]
+        builds = [
+            m,
+            (m - other) + other,
+            other + (m - other),
+            -(-m),
+            m.compose(LinearMap.identity(field, cols)),
+            LinearMap.identity(field, rows).compose(m),
+            LinearMap.from_columns(field, [m.apply(e) for e in basis], rows=rows),
+        ]
+        if rows:
+            builds += [LinearMap.from_rows(field, [spelled(data, field, row)
+                                                   for row in want])
+                       for _ in range(2)]
+        for built in builds:
+            assert built == m and hash(built) == hash(m)
+            assert (built.rows, built.cols) == (rows, cols)
+            assert_reads_as(built, field, want)
+
+    @given(st.data())
+    def test_every_build_of_a_vector_is_one_vector(self, data):
+        field = data.draw(st.sampled_from(PARITY_FIELDS))
+        n = data.draw(dims)
+        want = [field.scalar(v) for v in data.draw(raw_values(field, n))]
+        v = Vector(field, tuple(want))
+        other = Vector.make(field, data.draw(raw_values(field, n)))
+        builds = [
+            v,
+            Vector.make(field, spelled(data, field, want)),
+            Vector.make(field, spelled(data, field, want)),
+            (v - other) + other,
+            other + (v - other),
+            -(-v),
+            v.scale(field.one()),
+            LinearMap.identity(field, n).apply(v),
+            LinearMap.from_columns(field, [v], rows=n).apply(Vector.make(field, [1])),
+        ]
+        for built in builds:
+            assert built == v and hash(built) == hash(v)
+            assert_reads_as(built, field, want)
+
+    @given(st.data())
+    def test_maps_of_other_fields_differ(self, data):
+        rows, cols = data.draw(dims), data.draw(dims)
+        values = [[0] * cols for _ in range(rows)]
+        maps = [LinearMap(field, rows, cols, values) for field in PARITY_FIELDS]
+        assert len(set(maps)) == len(PARITY_FIELDS)
