@@ -25,14 +25,18 @@ digits of the index in row-major order, first entry most significant.  Each
 scan returns the indices in a contiguous range whose matrix passes the
 kernel's condition, in ascending order.
 
-The scan is a depth-first walk over digit positions.  Every (i, j, r)
-constraint of the law is linear or bilinear in the digits (quadratic in one
-digit for an i = j constraint of a bracket that does not alternate), so its
-value is fixed once the digits up to its highest position are; it is filed
-under that position.  The walk sets digit t to 0..p-1, tests only the
-constraints filed at t and goes one digit deeper only when they all hold, so
-no failing prefix is extended.  Leaves arrive in ascending index order and
-are kept when their index lies in the range: the survivors of a
+The scan is a depth-first walk over digit positions that solves each
+constrained digit instead of trying its p values.  Every (i, j, r)
+constraint of the law is linear or bilinear in the digits, so its value is
+fixed once the digits up to its highest position t are; it is filed under t
+and, with the digits before t fixed, it is affine in digit t (quadratic in
+it only for an i = j constraint of a bracket that does not alternate).  At
+each node the walk solves the affine constraints filed at t for the one
+value of digit t they allow, if any, checks the quadratic ones on the values
+left and goes one digit deeper only on those, so no failing prefix is
+extended.  Once no constraint is filed at or after a position, every
+completion survives, and the block of indices is emitted as one range.
+Survivors arrive in ascending index order, clipped to the range: those of a
 candidate-by-candidate walk.
 
 All tensor arguments are flat tuples of lifted numbers (residues over
@@ -169,45 +173,78 @@ class Law:
 
 def _constraints(p, dom_br, act, cod_br, rows, cols):
     """The derivation law on every ordered pair, each distinct constraint
-    once, as (linear terms, bilinear terms) filed by highest position.
+    once (_distinct), filed by highest position t as a + b*v + q*v^2 in the
+    digit v at t.
 
-    Linear terms are (t, c), sorted by t, and bilinear terms (s, t, c), from
-    _distinct.  Entry h of the result lists the constraints whose highest
-    position is h, in first-seen order.
+    Entry t lists (terms, slope, q) in first-seen order: a sums c*digit
+    s*digit u over terms (s, u, c), the monomials without t, and b sums
+    c*digit s over slope (s, c), where position rows*cols reads as 1.  q is
+    nonzero only for a bracket that does not alternate.
     """
-    at = [[] for _ in range(rows * cols)]
+    one = rows * cols
+    at = [[] for _ in range(one)]
     for merged in _distinct(p, derivation_law(dom_br, act, cod_br, rows, cols)):
-        lin_terms = sorted((key[0], c) for key, c in merged.items() if len(key) == 1)
-        bil_terms = [(*key, c) for key, c in merged.items() if len(key) == 2]
-        at[max(map(max, merged))].append((lin_terms, bil_terms))
+        t = max(map(max, merged))
+        terms, slope, q = [], [], 0
+        for key, c in merged.items():
+            if key == (t, t):
+                q = c
+            elif key[-1] == t:
+                slope.append((key[0] if len(key) == 2 else one, c))
+            else:
+                terms.append((key[0], key[-1] if len(key) == 2 else one, c))
+        at[t].append((terms, slope, q))
     return at
 
 
 def _walk(p, at, start, stop):
-    """Survivors in [start, stop) of the filed constraints, depth first."""
+    """Survivors in [start, stop) of the filed constraints, depth first.
+
+    At digit t an affine constraint (q = 0) pins v = -a/b when b != 0 and
+    needs a = 0 when b = 0; quadratic ones are checked on each value left.
+    """
     n = len(at)
-    digits = [0] * n
+    free = max([t + 1 for t in range(n) if at[t]], default=0)
+    width = p ** (n - free)
+    inverse = [0] + [pow(b, -1, p) for b in range(1, p)]
+    digits = [0] * n + [1]
     out = []
 
     def visit(t, index):
-        if t == n:
-            if start <= index < stop:
-                out.append(index)
-            return
-        for v in range(p):
-            digits[t] = v
-            for lin, bil in at[t]:
-                value = 0
-                for s, c in lin:
-                    value += digits[s] * c
-                for s, u, c in bil:
-                    value += digits[s] * digits[u] * c
-                if value % p:
-                    break
+        v, quadratic = None, ()
+        for terms, slope, q in at[t]:
+            a = b = 0
+            for s, u, c in terms:
+                a += digits[s] * digits[u] * c
+            for s, c in slope:
+                b += digits[s] * c
+            if q:
+                quadratic += ((a, b, q),)
+            elif v is not None:
+                if (a + b * v) % p:
+                    return
+            elif b % p:
+                v = -a * inverse[b % p] % p
+            elif a % p:
+                return
+        index *= p
+        for v in range(p) if v is None else (v,):
+            if quadratic and any((a + (b + q * v) * v) % p for a, b, q in quadratic):
+                continue
+            if t + 1 < free:
+                digits[t] = v
+                visit(t + 1, index + v)
+            elif width == 1:
+                if start <= index + v < stop:
+                    out.append(index + v)
             else:
-                visit(t + 1, index * p + v)
+                low = (index + v) * width
+                out.extend(range(max(start, low), min(stop, low + width)))
 
-    visit(0, 0)
+    if free:
+        visit(0, 0)
+    else:
+        out.extend(range(start, min(stop, width)))
     return out
 
 

@@ -174,20 +174,25 @@ class LinearMap:
         return LinearMap(self.field, self.rows, other.cols, [
             [sum(map(mul, row, col)) for col in cols] for row in self._numbers])
 
-    def __add__(self, other):
+    def _entrywise(self, op, other, verb):
+        """self op other, entry by entry, as one map; NotImplemented for
+        a non-map."""
         if not isinstance(other, LinearMap):
             return NotImplemented
         if not same_field(other.field, self.field):
-            raise FieldMismatchError("adding maps over different fields")
+            raise FieldMismatchError(f"{verb} maps over different fields")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError(
-                f"adding a {self.rows}x{self.cols} map to a "
+                f"{verb} a {self.rows}x{self.cols} map and a "
                 f"{other.rows}x{other.cols} map")
         return LinearMap(self.field, self.rows, self.cols, [
-            map(add, r1, r2) for r1, r2 in zip(self._numbers, other._numbers)])
+            map(op, r1, r2) for r1, r2 in zip(self._numbers, other._numbers)])
+
+    def __add__(self, other):
+        return self._entrywise(add, other, "adding")
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._entrywise(sub, other, "subtracting")
 
     def __neg__(self):
         return LinearMap(self.field, self.rows, self.cols,

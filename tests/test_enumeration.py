@@ -4,10 +4,11 @@ independent brute-force oracle."""
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import battery
 from battery import lines_module
@@ -19,6 +20,7 @@ from liecross import (
     LieAction,
     LieAlgebra,
     LinearMap,
+    Vector,
     build_hom_groupoid,
     enumerate_derivations,
     enumerate_morphisms,
@@ -665,6 +667,19 @@ def law_holds(p, rows, cols, dom_br, act, cod_br, index):
 class TestScanProperty:
     @settings(max_examples=150, deadline=None)
     @given(scan_inputs())
+    # The walk's branches, one example each.  [e, e] = e on both sides: the
+    # one constraint at the digit, d - d^2, is quadratic in it.
+    @example((5, 1, 1, (1,), None, (1,), 0, 5))
+    # [e0, e1] = e0 + e1 and [e1, e0] = 2e0 + e1 into an abelian line: at
+    # d1, d0 + d1 = 0 and 2d0 + d1 = 0 pin different values unless d0 = 0.
+    @example((5, 1, 2, (0, 0, 1, 1, 2, 1, 0, 0), None, (0,), 0, 25))
+    # An abelian plane into [e0, e1] = 3e1: at d3 the constraint
+    # d0*d3 - d1*d2 has slope d0, zero at d0 = 0 while d1*d2 need not be.
+    @example((5, 2, 2, (0,) * 8, None, (0, 0, 0, 3, 0, 2, 0, 0), 0, 625))
+    # Only d0 is constrained (d0 = 0), so d1 is a free tail, cut at 1 and 2.
+    @example((3, 1, 2, (1, 0, 0, 0, 0, 0, 0, 0), None, (0,), 1, 2))
+    # Char 2, dim 0: the one empty matrix, with an action.
+    @example((2, 2, 0, (), (), (0, 1, 1, 0, 1, 0, 0, 1), 0, 1))
     def test_scans_match_candidate_by_candidate_law(self, inputs):
         p, rows, cols, dom_br, act, cod_br, start, stop = inputs
         expected = [k for k in range(start, stop)
@@ -675,6 +690,56 @@ class TestScanProperty:
                if law_holds(p, rows, cols, dom_br, None, cod_br, k)]
         assert _kernels.scan_lie_morphisms(p, dom_br, cod_br, rows, cols,
                                            start, stop) == lie
+
+
+def heisenberg_endomorphisms(p):
+    """The Lie endomorphisms of h3 over GF(p), row-major, ascending by index.
+
+    [F x, F y] = (F00 F11 - F01 F10) z must equal F[x, y] = F z, so
+    F02 = F12 = 0 and F22 = F00 F11 - F01 F10, and the other six entries
+    are free: p^6 of the p^9 candidates.
+    """
+    return [(f00, f01, 0, f10, f11, 0, f20, f21, (f00 * f11 - f01 * f10) % p)
+            for f00, f01, f10, f11, f20, f21 in product(range(p), repeat=6)]
+
+
+def candidate_index(p, entries):
+    index = 0
+    for e in entries:
+        index = index * p + e
+    return index
+
+
+class TestHeisenbergEndomorphisms:
+    """The Lie-morphism scan of h3 against its closed form, at 5^9
+    candidates, beyond the brute-force oracle."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_standard_basis(self, p):
+        h3 = _flat_structure(battery.heisenberg3(FieldSpec.prime(p)))
+        assert _kernels.scan_lie_morphisms(p, h3, h3, 3, 3, 0, p ** 9) \
+            == [candidate_index(p, f) for f in heisenberg_endomorphisms(p)]
+
+    @pytest.mark.parametrize("seed", [7, 101])
+    def test_random_bases_conjugate(self, seed):
+        # change_basis draws the new basis C of M first, from the seed, and
+        # writes M's bracket in it; its endomorphisms are C^-1 F C.
+        h3 = _flat_structure(battery.change_basis(
+            battery.h3_over_abelianization(GF5), seed).m_algebra)
+        c = battery._random_invertible(GF5, 3, random.Random(seed))
+        c_inv = LinearMap.from_columns(
+            GF5, [c.solve(Vector.basis(GF5, 3, i)) for i in range(3)])
+        right, left = flat(c), flat(c_inv)
+
+        def conjugate(f):
+            fc = [sum(f[3 * r + k] * right[3 * k + j] for k in range(3))
+                  for r in range(3) for j in range(3)]
+            return [sum(left[3 * r + k] * fc[3 * k + j] for k in range(3)) % 5
+                    for r in range(3) for j in range(3)]
+        found = _kernels.scan_lie_morphisms(5, h3, h3, 3, 3, 0, 5 ** 9)
+        assert len(found) == 5 ** 6
+        assert set(found) == {candidate_index(5, conjugate(f))
+                              for f in heisenberg_endomorphisms(5)}
 
 
 def multiple(p, terms, k):

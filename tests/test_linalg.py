@@ -1,6 +1,7 @@
 """Vectors, exact linear maps, solving, and span coordinates."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +125,32 @@ class TestLinearMap:
         assert f + g == LinearMap.from_rows(GF3, [[0, 1], [1, 2]])
         assert f - f == LinearMap.zero(GF3, 2, 2)
         assert -f == LinearMap.from_rows(GF3, [[2, 2], [0, 2]])
+
+    @given(st.data())
+    def test_difference_is_one_map(self, data):
+        field = data.draw(st.sampled_from(PARITY_FIELDS))
+        rows, cols = data.draw(dims), data.draw(dims)
+        a = make_map(field, raw_matrix(data, field, rows, cols), rows, cols)
+        b = make_map(field, raw_matrix(data, field, rows, cols), rows, cols)
+        init, made = LinearMap.__init__, []
+
+        def counted(self, *args):
+            made.append(args)
+            init(self, *args)
+        with mock.patch.object(LinearMap, "__init__", counted):
+            difference = a - b
+        assert len(made) == 1
+        assert difference == a + (-b)
+
+    def test_difference_checks_like_the_sum(self):
+        f = LinearMap.identity(GF3, 2)
+        with pytest.raises(FieldMismatchError):
+            f - LinearMap.identity(FieldSpec.prime(5), 2)
+        with pytest.raises(ShapeMismatchError):
+            f - LinearMap.identity(GF3, 3)
+        with pytest.raises(TypeError):
+            f - Vector.zero(GF3, 2)
+        assert f.__sub__(1) is NotImplemented
 
     def test_rank(self):
         assert LinearMap.from_rows(QQ, [[1, 2], [2, 4]]).rank() == 1
