@@ -6,10 +6,12 @@ a[i][j][k] with e_i . e_j = sum_k a[i][j][k] e_k (first index over P, last
 two over M).  A crossed module bundles M, P, a boundary map M -> P and an
 action of P on M.
 
-Structure and action tensors are kept as Scalars.  bracket and act have
-one implementation for every field: they expand the vectors' lifted numbers
-(see fields) through a sparse copy of the tensor in lifted numbers, and the
-resulting Vector reduces each coordinate once.
+Structure and action tensors are stored once, as the field's lifted numbers
+(see fields) flat in the kernels' row-major order: entry (i, j, k) at
+(i*d1 + j)*d2 + k.  structure and tensor are read-only Scalar views of them
+in the declared shape.  bracket and act have one implementation for every
+field: they expand the vectors' lifted numbers through the nonzero entries,
+and the resulting Vector reduces each coordinate once.
 
 Axiom checking lives in the validate_* functions, which return witness
 bearing reports instead of raising.  Constructors only reject malformed
@@ -49,42 +51,38 @@ def _check_dim(dim: int):
         raise ShapeMismatchError(f"dimension {dim} exceeds the cap of {MAX_DIM}")
 
 
-def _coerce_tensor(field: FieldSpec, tensor, shape: tuple[int, int, int]) -> Tensor:
+def _nest(flat: Sequence, shape: tuple[int, int, int]) -> tuple:
+    """A flat row-major tensor as nested tuples of the given shape; the
+    shape, not the flat length, fixes the slice and row counts."""
+    d0, d1, d2 = shape
+    rows = [tuple(flat[r * d2:r * d2 + d2]) for r in range(d0 * d1)]
+    return tuple(tuple(rows[i * d1:i * d1 + d1]) for i in range(d0))
+
+
+def _store(obj, field: FieldSpec, tensor, shape: tuple[int, int, int]):
+    """Store a nested tensor of the given shape on obj, once, as flat lifted
+    numbers; also its shape, and the nonzero entries (i, j, k, lifted
+    coefficient) that bilinear expansion reads.  Neither of those is a
+    dataclass field, so equality and hashing ignore them."""
     d0, d1, d2 = shape
     if len(tensor) != d0:
         raise ShapeMismatchError(f"tensor has {len(tensor)} slices, expected {d0}")
-    out = []
+    number = field._number
+    numbers = []
     for plane in tensor:
         if len(plane) != d1:
             raise ShapeMismatchError(
                 f"tensor slice has {len(plane)} rows, expected {d1}")
-        rows = []
         for row in plane:
             if len(row) != d2:
                 raise ShapeMismatchError(
                     f"tensor row has {len(row)} entries, expected {d2}")
-            rows.append(tuple(field.scalar(v) for v in row))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-def _terms(field: FieldSpec, tensor: Tensor) -> tuple[tuple[int, int, int, object], ...]:
-    """The nonzero entries (i, j, k, lifted coefficient) of a tensor."""
-    number = field._number
-    return tuple((i, j, k, number(c))
-                 for i, plane in enumerate(tensor)
-                 for j, row in enumerate(plane)
-                 for k, c in enumerate(row) if c)
-
-
-def _flat(field: FieldSpec, tensor: Tensor) -> tuple:
-    """The entries of a tensor as lifted numbers, flat in row-major order."""
-    number = field._number
-    return tuple(number(c) for plane in tensor for row in plane for c in row)
-
-
-def _flat_structure(algebra: "LieAlgebra") -> tuple:
-    return _flat(algebra.field, algebra.structure)
+            numbers.extend(map(number, row))
+    object.__setattr__(obj, "_numbers", tuple(numbers))
+    object.__setattr__(obj, "_shape", shape)
+    object.__setattr__(obj, "_terms", tuple(
+        (n // (d1 * d2), n // d2 % d1, n % d2, c)
+        for n, c in enumerate(numbers) if c))
 
 
 def _expand(field: FieldSpec, terms, x: Vector, y: Vector, dim: int) -> Vector:
@@ -98,11 +96,12 @@ def _expand(field: FieldSpec, terms, x: Vector, y: Vector, dim: int) -> Vector:
 
 def _sparse_to_dense(field: FieldSpec, shape: tuple[int, int, int],
                      entries: Iterable[tuple[int, int, Mapping[int, object]]],
-                     antisymmetric: bool) -> Tensor:
-    """Fill a dense tensor from 1-based sparse entries (i, j, {k: coeff});
-    with no entries, the zero tensor of the shape."""
+                     antisymmetric: bool) -> list:
+    """Fill a nested tensor of lifted numbers from 1-based sparse entries
+    (i, j, {k: coeff}); with no entries, the zero tensor of the shape."""
     d0, d1, d2 = shape
-    cells: dict[tuple[int, int, int], Scalar] = {}
+    rows = [[[0] * d2 for _ in range(d1)] for _ in range(d0)]
+    seen = set()
     for i, j, out in entries:
         if not (1 <= i <= d0 and 1 <= j <= d1):
             raise ShapeMismatchError(f"bracket pair ({i}, {j}) out of range")
@@ -112,20 +111,17 @@ def _sparse_to_dense(field: FieldSpec, shape: tuple[int, int, int],
         for k, coeff in out.items():
             if not 1 <= k <= d2:
                 raise ShapeMismatchError(f"output index {k} out of range")
-            key = (i - 1, j - 1, k - 1)
-            if key in cells:
+            if (i, j, k) in seen:
                 raise ShapeMismatchError(
                     f"duplicate tensor entry at ({i}, {j}, {k})")
-            cells[key] = field.scalar(coeff)
-    rows = [[[field.zero()] * d2 for _ in range(d1)] for _ in range(d0)]
-    for (i, j, k), c in cells.items():
-        rows[i][j][k] = c
-        if antisymmetric:
-            rows[j][i][k] = -c
-    return tuple(tuple(tuple(r) for r in plane) for plane in rows)
+            seen.add((i, j, k))
+            c = rows[i - 1][j - 1][k - 1] = field._number(coeff)
+            if antisymmetric:
+                rows[j - 1][i - 1][k - 1] = -c
+    return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LieAlgebra:
     """Finite-dimensional Lie algebra presented by structure constants.
 
@@ -136,14 +132,19 @@ class LieAlgebra:
     name: str = dc_field(compare=False)
     field: FieldSpec = dc_field()
     dim: int = dc_field()
-    structure: Tensor = dc_field()
+    _numbers: tuple = dc_field()
 
-    def __post_init__(self):
-        _check_dim(self.dim)
-        object.__setattr__(self, "structure", _coerce_tensor(
-            self.field, self.structure, (self.dim, self.dim, self.dim)))
-        # Not a dataclass field, so equality and hashing ignore it.
-        object.__setattr__(self, "_terms", _terms(self.field, self.structure))
+    def __init__(self, name: str, field: FieldSpec, dim: int, structure):
+        _check_dim(dim)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim", dim)
+        _store(self, field, structure, (dim, dim, dim))
+
+    @property
+    def structure(self) -> Tensor:
+        """The structure constants c[i][j][k], as Scalars."""
+        return _nest(tuple(map(self.field._lower, self._numbers)), self._shape)
 
     @classmethod
     def abelian(cls, name: str, field: FieldSpec, dim: int) -> "LieAlgebra":
@@ -172,7 +173,7 @@ class LieAlgebra:
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j], read off the structure tensor."""
-        return Vector(self.field, self.structure[i][j])
+        return Vector(self.field, _nest(self._numbers, self._shape)[i][j])
 
     def zero_vector(self) -> Vector:
         return Vector.zero(self.field, self.dim)
@@ -192,31 +193,35 @@ class LieAlgebra:
                 f"{v.dim}-vector in a {self.dim}-dimensional algebra")
 
     def is_abelian(self) -> bool:
-        return not any(c for plane in self.structure for row in plane for c in row)
+        return not any(self._numbers)
 
     def __str__(self):
         return f"{self.name} (dim {self.dim} over {self.field})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LieAction:
     """Bilinear action of an actor algebra P on an acted algebra M."""
 
     actor: LieAlgebra
     acted: LieAlgebra
-    tensor: Tensor
+    _numbers: tuple
 
-    def __post_init__(self):
-        if not same_field(self.actor.field, self.acted.field):
+    def __init__(self, actor: LieAlgebra, acted: LieAlgebra, tensor):
+        if not same_field(actor.field, acted.field):
             raise FieldMismatchError("actor and acted algebras over different fields")
-        object.__setattr__(self, "tensor", _coerce_tensor(
-            self.actor.field, self.tensor,
-            (self.actor.dim, self.acted.dim, self.acted.dim)))
-        object.__setattr__(self, "_terms", _terms(self.field, self.tensor))
+        object.__setattr__(self, "actor", actor)
+        object.__setattr__(self, "acted", acted)
+        _store(self, actor.field, tensor, (actor.dim, acted.dim, acted.dim))
 
     @property
     def field(self) -> FieldSpec:
         return self.actor.field
+
+    @property
+    def tensor(self) -> Tensor:
+        """The action constants a[i][j][k], as Scalars."""
+        return _nest(tuple(map(self.field._lower, self._numbers)), self._shape)
 
     @classmethod
     def zero(cls, actor: LieAlgebra, acted: LieAlgebra) -> "LieAction":
@@ -234,11 +239,11 @@ class LieAction:
     @classmethod
     def adjoint(cls, algebra: LieAlgebra) -> "LieAction":
         """The algebra acting on itself by its own bracket."""
-        return cls(algebra, algebra, algebra.structure)
+        return cls(algebra, algebra, _nest(algebra._numbers, algebra._shape))
 
     def basis_act(self, i: int, j: int) -> Vector:
         """e_i . e_j, read off the action tensor."""
-        return Vector(self.field, self.tensor[i][j])
+        return Vector(self.field, _nest(self._numbers, self._shape)[i][j])
 
     def act(self, p: Vector, m: Vector) -> Vector:
         """p . m by bilinear expansion through the action tensor."""
@@ -310,15 +315,14 @@ def validate_lie_algebra(algebra: LieAlgebra) -> ValidationReport:
     is not implied by c[i][j][k] = -c[j][i][k] in characteristic 2.
     """
     report = ValidationReport(algebra.name, ["antisymmetry"])
-    c = algebra.structure
-    n = algebra.dim
-    zero = algebra.field.zero()
+    c, n, field = _nest(algebra._numbers, algebra._shape), algebra.dim, algebra.field
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                want = zero if i == j else -c[j][i][k]
+                want = 0 if i == j else field._number(-c[j][i][k])
                 if c[i][j][k] != want:
-                    report.fail("antisymmetry", (i + 1, j + 1, k + 1), c[i][j][k], want)
+                    report.fail("antisymmetry", (i + 1, j + 1, k + 1),
+                                field._lower(c[i][j][k]), field._lower(want))
     zero_vec = algebra.zero_vector()
     basis = algebra.basis_vectors()
     br = algebra.bracket

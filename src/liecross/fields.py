@@ -5,19 +5,15 @@ immutable element of one of them.  All arithmetic is exact: rationals are kept
 in lowest terms with a positive denominator, prime-field elements as residues
 in [0, p).  Equality is structural and hash-consistent, so scalars (and
 anything built from them) can be deduplicated with dicts and sets.
+FieldSpec.rational() and FieldSpec.prime(p) return one shared field object
+each, so field checks test identity first and fall back to structural
+equality; a FieldSpec built directly still mixes with the shared one.
 
-Prime-field scalars are shared instances: FieldSpec.prime(p) returns one
-field object per p, and each prime field keeps one Scalar per residue (for
-the first 2^16 residues used), which its arithmetic, coercions, zero() and
-one() hand out instead of building new objects.  Field checks therefore test
-identity first and fall back to structural equality, so a FieldSpec built
-directly still works (with its own residue table) and still mixes with the
-shared one.
-
-This module alone knows how a field stores its values.  Vectors and linear
-maps (see linalg) store the field's lifted numbers, the plain numbers Python
-computes on: residue ints in [0, p) over GF(p), exact Fractions over QQ.
-Three private functions of each FieldSpec convert and reduce them:
+This module alone knows how a field stores its values.  Vectors, linear
+maps (see linalg) and structure and action tensors (see algebras) store the
+field's lifted numbers, the plain numbers Python computes on: residue ints
+in [0, p) over GF(p), exact Fractions over QQ.  Three private functions of
+each FieldSpec convert and reduce them, and all arithmetic goes through them:
 
 * field._number(x) turns anything the field accepts (an int, a Fraction, a
   literal or a Scalar of the field) into its lifted number; given a sum of
@@ -25,9 +21,12 @@ Three private functions of each FieldSpec convert and reduce them:
   over QQ.  Lifted numbers of one field are equal exactly when their
   scalars are, so tuples of them can key dicts;
 * field._inverse(v) is the lifted number of 1/v, for nonzero v;
-* field._lower(v) turns a lifted number back into its Scalar: the shared
-  scalar over GF(p), a new Scalar over QQ.  Only the Scalar views of
-  vectors and maps call it.
+* field._lower(v) turns a lifted number, reduced or not, into a new Scalar.
+
+Scalar arithmetic has one path for both kinds of field: each operator
+lowers the operation on its operands' lifted numbers (times the divisor's
+_inverse for /).  Scalars are the edge form, for witnesses, views and
+literals; the hot paths work on lifted numbers and never build one.
 
 Serialization: rationals render as "a/b", with "/b" omitted when b = 1;
 prime-field elements render as their decimal residue.
@@ -102,17 +101,15 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {self.kind!r}")
         # Not dataclass fields, so equality, hashing and repr ignore them.
         if self.kind == PRIME:
-            residues, p = _Residues(self), self.p
+            p = self.p
             number = lambda v: v % p if v.__class__ is int else self.scalar(v).num
             inverse = lambda v: pow(v, -1, p)
-            lower = lambda v: residues[v % p]
+            lower = lambda v: Scalar(self, v)
         else:
-            residues = None
             number = lambda v: v if v.__class__ is Fraction else (
                 Fraction(v) if v.__class__ is int else self.scalar(v).as_fraction())
             inverse = lambda v: 1 / v
             lower = lambda v: Scalar(self, v.numerator, v.denominator)
-        object.__setattr__(self, "_residues", residues)
         object.__setattr__(self, "_number", number)
         object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(self, "_lower", lower)
@@ -135,9 +132,7 @@ class FieldSpec:
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, string literal or Scalar into this field."""
         if isinstance(value, int):
-            if self._residues is not None:
-                return self._residues[value % self.p]
-            return Scalar(self, value, 1)
+            return Scalar(self, value)
         if isinstance(value, Scalar):
             if not same_field(value.field, self):
                 raise FieldMismatchError(f"scalar from {value.field} used in {self}")
@@ -161,7 +156,6 @@ class FieldSpec:
                 raise ValueError(
                     f"bad residue literal {text!r} for GF({self.p}): "
                     f"expected an integer in [0, {self.p})")
-            return self._residues[num]
         return Scalar(self, num, den)
 
     def zero(self) -> "Scalar":
@@ -174,7 +168,7 @@ class FieldSpec:
         """All field elements; only available for prime fields."""
         if self.kind != PRIME:
             raise ValueError("cannot enumerate an infinite field")
-        return (self._residues[k] for k in range(self.p))
+        return (Scalar(self, k) for k in range(self.p))
 
     def __str__(self):
         return "QQ" if self.kind == RATIONAL else f"GF({self.p})"
@@ -189,29 +183,6 @@ def _shared_field(kind: str, p: int | None) -> FieldSpec:
     if field is None:
         field = _shared_fields.setdefault((kind, p), FieldSpec(kind, p))
     return field
-
-
-# Residue tables stop growing here, so a huge prime cannot fill memory with
-# shared scalars; residues past the cap get fresh (equal) scalars instead.
-_RESIDUE_TABLE_MAX = 1 << 16
-
-
-class _Residues(dict):
-    """One shared Scalar per residue of a prime field, made on first use.
-
-    Keys are residues in [0, p).  A race between threads can at worst build
-    two equal scalars for one residue, which is harmless.
-    """
-
-    def __init__(self, field: FieldSpec):
-        super().__init__()
-        self.field = field
-
-    def __missing__(self, residue: int) -> "Scalar":
-        scalar = Scalar(self.field, residue, 1)
-        if len(self) < _RESIDUE_TABLE_MAX:
-            self[residue] = scalar
-        return scalar
 
 
 @dataclass(frozen=True)
@@ -245,7 +216,7 @@ class Scalar:
             object.__setattr__(self, "den", den)
 
     def _check(self, other: "Scalar"):
-        # Shared scalars of one field pass on two identity tests.
+        # Scalars of a shared field pass on two identity tests.
         if other.__class__ is Scalar and other.field is self.field:
             return
         if not isinstance(other, Scalar):
@@ -256,41 +227,28 @@ class Scalar:
 
     def __add__(self, other):
         self._check(other)
-        field = self.field
-        if field._residues is not None:
-            return field._residues[(self.num + other.num) % field.p]
-        return Scalar(field, self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        number = self.field._number
+        return self.field._lower(number(self) + number(other))
 
     def __sub__(self, other):
         self._check(other)
-        field = self.field
-        if field._residues is not None:
-            return field._residues[(self.num - other.num) % field.p]
-        return Scalar(field, self.num * other.den - other.num * self.den,
-                      self.den * other.den)
+        number = self.field._number
+        return self.field._lower(number(self) - number(other))
 
     def __mul__(self, other):
         self._check(other)
-        field = self.field
-        if field._residues is not None:
-            return field._residues[self.num * other.num % field.p]
-        return Scalar(field, self.num * other.num, self.den * other.den)
+        number = self.field._number
+        return self.field._lower(number(self) * number(other))
 
     def __truediv__(self, other):
         self._check(other)
         if not other:
             raise ZeroDivisionError(f"division by zero in {self.field}")
         field = self.field
-        if field._residues is not None:
-            return field._residues[self.num * pow(other.num, -1, field.p) % field.p]
-        return Scalar(field, self.num * other.den, self.den * other.num)
+        return field._lower(field._number(self) * field._inverse(field._number(other)))
 
     def __neg__(self):
-        field = self.field
-        if field._residues is not None:
-            return field._residues[-self.num % field.p]
-        return Scalar(field, -self.num, self.den)
+        return self.field._lower(-self.field._number(self))
 
     def __bool__(self):
         return self.num != 0

@@ -54,7 +54,6 @@ from .algebras import (
     CrossedModule,
     LieAction,
     LieAlgebra,
-    _flat_structure,
     validate_action,
     validate_crossed_module,
     validate_lie_algebra,
@@ -208,7 +207,7 @@ def _lie_morphism_scan(dom: LieAlgebra, cod: LieAlgebra) -> tuple[Rows, ...]:
     share one entry."""
     p = dom.field.p
     found = _kernels.scan_lie_morphisms(
-        p, _flat_structure(dom), _flat_structure(cod), cod.dim, dom.dim,
+        p, dom._numbers, cod._numbers, cod.dim, dom.dim,
         0, p ** (cod.dim * dom.dim))
     return tuple(map(_row_decoder(p, cod.dim, dom.dim), found))
 
@@ -362,8 +361,8 @@ def enumerate_derivations(f: CrossedMorphism, budget: int = DEFAULT_BUDGET,
     _check_budget(p ** (rows * cols), budget, "derivation scan")
 
     found = _kernels.scan_derivations(
-        p, _flat_structure(f.source.p_algebra), f._f0_action,
-        _flat_structure(f.target.m_algebra), rows, cols, 0, p ** (rows * cols))
+        p, f.source.p_algebra._numbers, f._f0_action,
+        f.target.m_algebra._numbers, rows, cols, 0, p ** (rows * cols))
     rows_of = _row_decoder(p, rows, cols)
     d_map = _map_maker(field, rows, cols) if maps is None else maps
     return LazySequence(len(found), lambda k: Derivation(f, d_map[rows_of(found[k])]))

@@ -21,8 +21,6 @@ from ._kernels import Law, derivation_law, equivariance_law, square_law
 from .algebras import (
     CrossedModule,
     LieAlgebra,
-    _flat,
-    _flat_structure,
     _lie_morphism_sides,
 )
 from .errors import EndpointMismatchError, FieldMismatchError
@@ -67,7 +65,7 @@ class CrossedMorphism:
         pair of P, over the entries of d: P -> M'."""
         p_alg, m_prime = self.source.p_algebra, self.target.m_algebra
         return Law(self.source.field.p, m_prime.dim * p_alg.dim, derivation_law(
-            _flat_structure(p_alg), self._f0_action, _flat_structure(m_prime),
+            p_alg._numbers, self._f0_action, m_prime._numbers,
             m_prime.dim, p_alg.dim))
 
     def is_endomorphism(self) -> bool:
@@ -91,20 +89,18 @@ def is_lie_morphism(f: LinearMap, dom: LieAlgebra, cod: LieAlgebra) -> Validatio
 def _lie_morphism_law(dom: LieAlgebra, cod: LieAlgebra, at: int):
     """The Lie-morphism law dom -> cod on every ordered basis pair, over a
     cod.dim x dom.dim map whose entries start at position at."""
-    return derivation_law(_flat_structure(dom), None, _flat_structure(cod),
-                          cod.dim, dom.dim, at)
+    return derivation_law(dom._numbers, None, cod._numbers, cod.dim, dom.dim, at)
 
 
 def _morphism_law(src: CrossedModule, dst: CrossedModule) -> Law:
     """Every law of validate_crossed_morphism over f1's entries, then f0's."""
     dm, dm2 = src.m_algebra.dim, dst.m_algebra.dim
     dp, dp2 = src.p_algebra.dim, dst.p_algebra.dim
-    field = src.field
-    return Law(field.p, dm2 * dm + dp2 * dp, [
+    return Law(src.field.p, dm2 * dm + dp2 * dp, [
         *_lie_morphism_law(src.m_algebra, dst.m_algebra, 0),
         *_lie_morphism_law(src.p_algebra, dst.p_algebra, dm2 * dm),
-        *equivariance_law(_flat(field, src.action.tensor),
-                          _flat(field, dst.action.tensor), dm, dm2, dp, dp2),
+        *equivariance_law(src.action._numbers, dst.action._numbers,
+                          dm, dm2, dp, dp2),
         *square_law(_entries(src.boundary), _entries(dst.boundary),
                     dm, dm2, dp, dp2)])
 

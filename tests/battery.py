@@ -253,3 +253,12 @@ def numbers(field: FieldSpec, scalars) -> list:
     if field.is_prime_field:
         return [s.num for s in scalars]
     return [s.as_fraction() for s in scalars]
+
+
+def spellings(field, s):
+    """Inputs naming the scalar s of field: s itself, its literal, a Fraction
+    and an int (over GF(p) an unreduced one; over QQ only if s is integral)."""
+    if field.is_prime_field:
+        # p + 1 is 1 mod p, so s.num / (p + 1) is s.num in GF(p).
+        return [s, str(s), Fraction(s.num, field.p + 1), s.num - 2 * field.p]
+    return [s, str(s), s.as_fraction()] + ([s.num] if s.den == 1 else [])

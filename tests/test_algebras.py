@@ -1,10 +1,12 @@
 """Lie algebras, actions, crossed modules, and their axiom validators."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 import battery
-from battery import PARITY_FIELDS, numbers, raw_values, reduced
+from battery import PARITY_FIELDS, numbers, raw_values, reduced, spellings
 from liecross import (
     CrossedModule,
     FieldSpec,
@@ -12,6 +14,7 @@ from liecross import (
     LieAlgebra,
     LinearMap,
     MAX_DIM,
+    Scalar,
     Vector,
     abelian_zero_crossed_module,
     image_is_ideal,
@@ -20,11 +23,13 @@ from liecross import (
     validate_crossed_module,
     validate_lie_algebra,
 )
+from liecross import groupoid
 from liecross.errors import (
     NotAbelianError,
     NotAnIdealError,
     ShapeMismatchError,
 )
+from liecross.fields import same_field
 
 QQ = FieldSpec.rational()
 GF2 = FieldSpec.prime(2)
@@ -140,6 +145,106 @@ class TestSingleArithmeticPath:
                            LieAlgebra.abelian("M", field, dm), a)
         got = action.act(Vector.make(field, p), Vector.make(field, m))
         assert numbers(field, got.entries) == reduced(field, expand(a, p, m, dm))
+
+
+def spelled_builds(data, field, tensor, make):
+    """make(t) for t = tensor with every Scalar spelled one way (as itself,
+    its literal, a Fraction, and an int where it is integral), and for two
+    tensors with each Scalar's spelling drawn at random."""
+    def respelled(pick):
+        return [[[pick(s) for s in row] for row in plane] for plane in tensor]
+    uniform = [make(respelled(lambda s: spellings(field, s)[kind]))
+               for kind in (0, 1, 2, -1)]
+    return uniform + [make(respelled(
+        lambda s: data.draw(st.sampled_from(spellings(field, s))))) for _ in range(2)]
+
+
+def assert_one_form(builds, field, shape, view):
+    """Every build equals, hashes and pickles back as the first, and its
+    view holds Scalars of field nested in shape."""
+    first = builds[0]
+    d0, d1, d2 = shape
+    for built in builds:
+        back = pickle.loads(pickle.dumps(built))
+        for same in (built, back):
+            assert same == first and hash(same) == hash(first)
+            assert view(same) == view(first)
+        tensor = view(built)
+        assert len(tensor) == d0
+        assert all(len(plane) == d1 for plane in tensor)
+        assert all(len(row) == d2 for plane in tensor for row in plane)
+        assert all(type(c) is Scalar and same_field(c.field, field)
+                   for plane in tensor for row in plane for c in row)
+
+
+class TestOneStoredForm:
+    """A structure or action tensor built from Scalars, ints, Fractions or
+    literals, from sparse entries, as an adjoint or from its own view is one
+    tensor, as a map is in test_linalg."""
+
+    dims = st.integers(min_value=0, max_value=3)
+
+    @given(st.data())
+    def test_every_build_of_an_algebra_is_one_algebra(self, data):
+        field = data.draw(st.sampled_from(PARITY_FIELDS))
+        n = data.draw(self.dims)
+        upper = {(i, j): data.draw(raw_values(field, n))
+                 for i in range(n) for j in range(i + 1, n)}
+        want = [[[field.zero()] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), values in upper.items():
+            for k, v in enumerate(values):
+                want[i][j][k] = field.scalar(v)
+                want[j][i][k] = -field.scalar(v)
+        sparse = LieAlgebra.from_sparse_brackets(
+            "sparse", field, n, [(i + 1, j + 1, dict(enumerate(values, 1)))
+                                 for (i, j), values in upper.items()])
+        builds = [sparse,
+                  *spelled_builds(data, field, want,
+                                  lambda t: LieAlgebra("spelled", field, n, t)),
+                  LieAlgebra("view", field, n, sparse.structure)]
+        assert_one_form(builds, field, (n, n, n), lambda a: a.structure)
+        assert sparse.structure == tuple(tuple(map(tuple, plane)) for plane in want)
+        adjoints = [LieAction.adjoint(b) for b in builds] \
+            + [LieAction(sparse, sparse, want)]
+        assert_one_form(adjoints, field, (n, n, n), lambda a: a.tensor)
+
+    @given(st.data())
+    def test_every_build_of_an_action_is_one_action(self, data):
+        field = data.draw(st.sampled_from(PARITY_FIELDS))
+        dp, dm = data.draw(self.dims), data.draw(self.dims)
+        actor = LieAlgebra.abelian("P", field, dp)
+        acted = LieAlgebra.abelian("M", field, dm)
+        want = [[[field.scalar(v) for v in row] for row in plane]
+                for plane in raw_tensor(data, field, dp, dm, dm)]
+        action = LieAction.from_sparse(actor, acted, [
+            (i + 1, j + 1, dict(enumerate(row, 1)))
+            for i, plane in enumerate(want) for j, row in enumerate(plane)])
+        builds = [action,
+                  *spelled_builds(data, field, want,
+                                  lambda t: LieAction(actor, acted, t)),
+                  LieAction(actor, acted, action.tensor)]
+        assert_one_form(builds, field, (dp, dm, dm), lambda a: a.tensor)
+        assert action.tensor == tuple(tuple(map(tuple, plane)) for plane in want)
+
+    @pytest.mark.parametrize("field", PARITY_FIELDS)
+    def test_dimension_zero_views_keep_their_shape(self, field):
+        plane = LieAlgebra.abelian("plane", field, 2)
+        nil = LieAlgebra.abelian("nil", field, 0)
+        assert nil.structure == ()
+        assert LieAction.zero(plane, nil).tensor == ((), ())
+        assert LieAction(plane, nil, [[], []]) == LieAction.zero(plane, nil)
+        assert LieAction.zero(nil, plane).tensor == ()
+        with pytest.raises(ShapeMismatchError):
+            LieAction(plane, nil, [[]])
+
+    def test_rebuilt_algebra_hits_the_scan_cache(self):
+        aff = battery.affine2(GF3)
+        rebuilt = LieAlgebra("rebuilt", GF3, 2, [
+            [[c.num for c in row] for row in plane] for plane in aff.structure])
+        first = groupoid._lie_morphism_scan(aff, aff)
+        hits = groupoid._lie_morphism_scan.cache_info().hits
+        assert groupoid._lie_morphism_scan(rebuilt, rebuilt) is first
+        assert groupoid._lie_morphism_scan.cache_info().hits == hits + 1
 
 
 class TestValidateLieAlgebra:

@@ -36,7 +36,6 @@ from liecross.errors import (
     FiniteFieldRequiredError,
 )
 from liecross import _kernels, algebras, groupoid
-from liecross.groupoid import _flat_structure
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
@@ -534,7 +533,7 @@ class TestKernelBackends:
 
     def test_range_partition_is_seamless(self):
         aff = battery.affine2(GF3)
-        br = _flat_structure(aff)
+        br = aff._numbers
         total = 3 ** 4
         whole = _kernels.scan_lie_morphisms(3, br, br, 2, 2, 0, total)
         split = []
@@ -716,7 +715,7 @@ class TestHeisenbergEndomorphisms:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_standard_basis(self, p):
-        h3 = _flat_structure(battery.heisenberg3(FieldSpec.prime(p)))
+        h3 = battery.heisenberg3(FieldSpec.prime(p))._numbers
         assert _kernels.scan_lie_morphisms(p, h3, h3, 3, 3, 0, p ** 9) \
             == [candidate_index(p, f) for f in heisenberg_endomorphisms(p)]
 
@@ -724,8 +723,8 @@ class TestHeisenbergEndomorphisms:
     def test_random_bases_conjugate(self, seed):
         # change_basis draws the new basis C of M first, from the seed, and
         # writes M's bracket in it; its endomorphisms are C^-1 F C.
-        h3 = _flat_structure(battery.change_basis(
-            battery.h3_over_abelianization(GF5), seed).m_algebra)
+        h3 = battery.change_basis(
+            battery.h3_over_abelianization(GF5), seed).m_algebra._numbers
         c = battery._random_invertible(GF5, 3, random.Random(seed))
         c_inv = LinearMap.from_columns(
             GF5, [c.solve(Vector.basis(GF5, 3, i)) for i in range(3)])

@@ -83,8 +83,8 @@ class TestFieldSpec:
 class TestSharedFields:
     def test_prime_fields_and_residues_are_shared(self):
         assert FieldSpec.prime(5) is GF5
-        assert GF5.scalar(3) is GF5.scalar(8)
-        assert GF5.one() + GF5.one() is GF5.scalar(2)
+        assert GF5.scalar(3) == GF5.scalar(8)
+        assert GF5.one() + GF5.one() == GF5.scalar(2)
 
     def test_directly_built_field_mixes_with_shared(self):
         direct = FieldSpec("prime", 5)
@@ -168,9 +168,10 @@ class TestArithmetic:
         assert (-a).num == 2
 
     def test_division_by_zero(self):
-        for field in (QQ, GF5):
-            with pytest.raises(ZeroDivisionError):
+        for field, name in ((QQ, "QQ"), (GF5, "GF(5)")):
+            with pytest.raises(ZeroDivisionError) as err:
                 field.one() / field.zero()
+            assert str(err.value) == f"division by zero in {name}"
 
     def test_truthiness(self):
         assert not QQ.zero()
@@ -190,15 +191,24 @@ class TestArithmetic:
         assert a * b == b * a
         assert (a + b).as_fraction() == x + y
         assert (a * b).as_fraction() == x * y
+        assert (a - b).as_fraction() == x - y
+        assert (-a).as_fraction() == -x
+        if y:
+            assert (a / b).as_fraction() == x / y
 
     @given(st.integers(), st.integers())
     def test_prime_field_laws(self, x, y):
-        a, b = GF5.scalar(x), GF5.scalar(y)
-        assert a + b == GF5.scalar(x + y)
-        assert a * b == GF5.scalar(x * y)
-        assert a - a == GF5.zero()
-        if b:
-            assert (a / b) * b == a
+        for p in (2, 3, 5):
+            field = FieldSpec.prime(p)
+            a, b = field.scalar(x), field.scalar(y)
+            assert a + b == field.scalar(x + y)
+            assert a * b == field.scalar(x * y)
+            assert a - a == field.zero()
+            assert (a - b).num == (x - y) % p
+            assert (-a).num == -x % p
+            if y % p:
+                assert (a / b).num == x * pow(y, -1, p) % p
+                assert (a / b) * b == a
 
 
 class TestParsing:

@@ -1,12 +1,11 @@
 """Vectors, exact linear maps, solving, and span coordinates."""
 
-from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from battery import PARITY_FIELDS, numbers, raw_values, reduced
+from battery import PARITY_FIELDS, numbers, raw_values, reduced, spellings
 from liecross import FieldSpec, LinearMap, Scalar, Vector
 from liecross.documents import _matrix_doc
 from liecross.errors import FieldMismatchError, ShapeMismatchError
@@ -224,15 +223,6 @@ class TestFieldChecks:
     def test_scale_refuses_a_scalar_of_another_field(self, other, dim):
         with pytest.raises(FieldMismatchError):
             Vector.zero(GF3, dim).scale(other.one())
-
-
-def spellings(field, s):
-    """Inputs naming the scalar s of field: s itself, its literal, a Fraction
-    and an int (over GF(p) an unreduced one; over QQ only if s is integral)."""
-    if field.is_prime_field:
-        # p + 1 is 1 mod p, so s.num / (p + 1) is s.num in GF(p).
-        return [s, str(s), Fraction(s.num, field.p + 1), s.num - 2 * field.p]
-    return [s, str(s), s.as_fraction()] + ([s.num] if s.den == 1 else [])
 
 
 def spelled(data, field, scalars):
