@@ -59,6 +59,13 @@ def _nest(flat: Sequence, shape: tuple[int, int, int]) -> tuple:
     return tuple(tuple(rows[i * d1:i * d1 + d1]) for i in range(d0))
 
 
+def _row(obj, i: int, j: int) -> tuple:
+    """Row (i, j) of obj's stored tensor, indexed as its nested view is."""
+    d0, d1, d2 = obj._shape
+    start = (range(d0)[i] * d1 + range(d1)[j]) * d2
+    return obj._numbers[start:start + d2]
+
+
 def _store(obj, field: FieldSpec, tensor, shape: tuple[int, int, int]):
     """Store a nested tensor of the given shape on obj, once, as flat lifted
     numbers; also its shape, and the nonzero entries (i, j, k, lifted
@@ -173,7 +180,7 @@ class LieAlgebra:
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j], read off the structure tensor."""
-        return Vector(self.field, _nest(self._numbers, self._shape)[i][j])
+        return Vector(self.field, _row(self, i, j))
 
     def zero_vector(self) -> Vector:
         return Vector.zero(self.field, self.dim)
@@ -243,7 +250,7 @@ class LieAction:
 
     def basis_act(self, i: int, j: int) -> Vector:
         """e_i . e_j, read off the action tensor."""
-        return Vector(self.field, _nest(self._numbers, self._shape)[i][j])
+        return Vector(self.field, _row(self, i, j))
 
     def act(self, p: Vector, m: Vector) -> Vector:
         """p . m by bilinear expansion through the action tensor."""

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .errors import (
     InvariantError,
     ShapeMismatchError,
 )
-from .arrows import ArrowTable
 from .documents import Workspace, _matrix_doc, parse_workspace
 from .groupoid import (
     DEFAULT_ARROW_BUDGET,
@@ -47,7 +47,7 @@ from .groupoid import (
     homotopy_classes,
 )
 from .homotopy import homotopy_target, is_f0_derivation, shift_morphism
-from .linalg import LinearMap
+from .linalg import _rows_text
 from .morphisms import CrossedMorphism, validate_crossed_morphism
 from .validation import ValidationReport
 
@@ -147,7 +147,7 @@ def _cmd_enumerate_morphisms(ws: Workspace, args, out) -> int:
               for i, f in enumerate(found)]
     _emit(args, out, lines,
           {"command": "enumerate-morphisms", "count": len(found),
-           "morphisms": [{"f1": _matrix_doc(f.f1), "f0": _matrix_doc(f.f0)}
+           "morphisms": [{"f1": _matrix_doc(f.f1._numbers), "f0": _matrix_doc(f.f0._numbers)}
                          for f in found]})
     return 0
 
@@ -161,20 +161,8 @@ def _cmd_enumerate_derivations(ws: Workspace, args, out) -> int:
     _emit(args, out, lines,
           {"command": "enumerate-derivations", "base": args.base,
            "count": len(found),
-           "derivations": [{"d": _matrix_doc(h.d)} for h in found]})
+           "derivations": [{"d": _matrix_doc(h.d._numbers)} for h in found]})
     return 0
-
-
-def _per_matrix(encode: Callable[[LinearMap], str]) -> Callable[[LinearMap], str]:
-    """m -> encode(m), encoded once per distinct matrix."""
-    done: dict = {}
-
-    def encoded(m: LinearMap) -> str:
-        text = done.get(m._numbers)
-        if text is None:
-            text = done[m._numbers] = encode(m)
-        return text
-    return encoded
 
 
 def _json_list(items: Iterator[str], indent: str) -> Iterator[str]:
@@ -193,34 +181,25 @@ def _json_list(items: Iterator[str], indent: str) -> Iterator[str]:
     yield "\n" + indent + "]"
 
 
-def _encoded_ds(arrows: ArrowTable, encoded: Callable[[LinearMap], str]) -> Iterator[str]:
-    """encoded(d) of each arrow in order, read off the rows column: each
-    distinct rows looks its d up once, and no Arrow is built."""
-    done: dict = {}
-    for t, rows in enumerate(arrows.rows):
-        text = done.get(rows)
-        if text is None:
-            text = done[rows] = encoded(arrows.d(t))
-        yield text
-
-
 def _groupoid_document(groupoid: HomGroupoid, classes: list[list[int]]) -> Iterator[str]:
     """Pieces of json.dumps of {"objects", "arrows", "classes"} with indent=2.
 
-    json.dumps runs once per distinct matrix; its block, indented to the
-    depth of an entry's keys, is joined into every entry that has it.  The
-    arrows are encoded from the table's columns.
+    Matrices are encoded from stored rows (the objects' f1 and f0, the
+    table's rows column), json.dumps once per distinct rows, so no arrow
+    is built; each block, indented to the depth of an entry's keys, is
+    joined into every entry that has it.
     """
-    block = _per_matrix(lambda m: json.dumps(
-        _matrix_doc(m), indent=2).replace("\n", "\n      "))
+    block = lru_cache(maxsize=None)(lambda rows: json.dumps(
+        _matrix_doc(rows), indent=2).replace("\n", "\n      "))
     arrows = groupoid.arrows
     yield '{\n  "objects": '
-    yield from _json_list((f'{{\n      "f1": {block(f.f1)},\n      "f0": {block(f.f0)}\n    }}'
+    yield from _json_list((f'{{\n      "f1": {block(f.f1._numbers)},\n'
+                           f'      "f0": {block(f.f0._numbers)}\n    }}'
                            for f in groupoid.objects), "  ")
     yield ',\n  "arrows": '
     yield from _json_list((f'{{\n      "src": {s},\n      "dst": {t},\n      "d": {d}\n    }}'
                            for s, t, d in zip(arrows.src, arrows.dst,
-                                              _encoded_ds(arrows, block))), "  ")
+                                              map(block, arrows.rows))), "  ")
     yield ',\n  "classes": '
     for piece in _JSON.iterencode(classes):
         yield piece.replace("\n", "\n  ")
@@ -229,14 +208,14 @@ def _groupoid_document(groupoid: HomGroupoid, classes: list[list[int]]) -> Itera
 
 def _groupoid_lines(groupoid: HomGroupoid, classes: list[list[int]],
                     emit: str | None) -> Iterator[str]:
-    """The text report of the groupoid command, one piece per line."""
+    """The groupoid command's text report, one piece per line, from stored rows."""
     arrows = groupoid.arrows
     yield (f"objects={len(groupoid.objects)} arrows={len(arrows)} "
            f"classes={len(classes)} sizes={_sizes_text(classes)}\n")
-    shown = _per_matrix(str)
+    shown = lru_cache(maxsize=None)(_rows_text)
     for i, f in enumerate(groupoid.objects):
-        yield f"object {i}: f1={shown(f.f1)} f0={shown(f.f0)}\n"
-    for t, (s, u, d) in enumerate(zip(arrows.src, arrows.dst, _encoded_ds(arrows, shown))):
+        yield f"object {i}: f1={shown(f.f1._numbers)} f0={shown(f.f0._numbers)}\n"
+    for t, (s, u, d) in enumerate(zip(arrows.src, arrows.dst, map(shown, arrows.rows))):
         yield f"arrow {t}: {s} -> {u} d={d}\n"
     if emit:
         yield f"emitted {emit}\n"
@@ -340,7 +319,7 @@ def _cmd_target(ws: Workspace, args, out) -> int:
     _emit(args, out, lines,
           {"command": "target", "from": args.from_, "via": args.via,
            "ok": True,
-           "target": {"f1": _matrix_doc(g.f1), "f0": _matrix_doc(g.f0)}})
+           "target": {"f1": _matrix_doc(g.f1._numbers), "f0": _matrix_doc(g.f0._numbers)}})
     return 0
 
 

@@ -300,8 +300,8 @@ def parse_workspace(text: str) -> Workspace:
     return ws
 
 
-def _matrix_doc(m: LinearMap) -> list[list[str]]:
-    return [list(map(str, row)) for row in m._numbers]
+def _matrix_doc(rows: tuple) -> list[list[str]]:
+    return [list(map(str, row)) for row in rows]
 
 
 def _sparse_doc(tensor, antisymmetric: bool) -> list[dict]:
@@ -350,7 +350,7 @@ def serialize_workspace(ws: Workspace) -> str:
                               f"crossed_modules.{name}"),
                 "p": _name_of(ws.algebras, xm.p_algebra, "algebra",
                               f"crossed_modules.{name}"),
-                "boundary": _matrix_doc(xm.boundary),
+                "boundary": _matrix_doc(xm.boundary._numbers),
             }
             action = _sparse_doc(xm.action.tensor, False)
             if action:
@@ -363,11 +363,11 @@ def serialize_workspace(ws: Workspace) -> str:
                                       "crossed module", f"morphisms.{name}"),
                    "target": _name_of(ws.crossed_modules, f.target,
                                       "crossed module", f"morphisms.{name}"),
-                   "f1": _matrix_doc(f.f1),
-                   "f0": _matrix_doc(f.f0)}
+                   "f1": _matrix_doc(f.f1._numbers),
+                   "f0": _matrix_doc(f.f0._numbers)}
             for name, f in ws.morphisms.items()}
     if ws.derivations:
         doc["derivations"] = {
-            name: {"base": cert.base_name, "d": _matrix_doc(cert.d)}
+            name: {"base": cert.base_name, "d": _matrix_doc(cert.d._numbers)}
             for name, cert in ws.derivations.items()}
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)

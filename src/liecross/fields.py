@@ -216,9 +216,6 @@ class Scalar:
             object.__setattr__(self, "den", den)
 
     def _check(self, other: "Scalar"):
-        # Scalars of a shared field pass on two identity tests.
-        if other.__class__ is Scalar and other.field is self.field:
-            return
         if not isinstance(other, Scalar):
             raise TypeError(f"expected a Scalar, got {other!r}")
         if other.field != self.field:

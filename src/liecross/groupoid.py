@@ -12,9 +12,9 @@ scan.
 
 All kernel and join work happens on plain integer residues, the numbers a
 LinearMap over GF(p) stores, and survivors stay residue rows until a result
-item is built: both enumerations return a LazySequence whose LinearMaps, and
-the CrossedMorphism or Derivation around them, are built on access.  Equal
-matrices in one result share one LinearMap.
+item is built: both enumerations return a LazySequence (see arrows) whose
+LinearMaps, and the CrossedMorphism or Derivation around them, are built on
+access.  Equal matrices in one result share one LinearMap.
 
 build_hom_groupoid scans derivations once per homotopy class, at the class's
 first object f, and every scan makes its d through one shared map maker.
@@ -26,13 +26,12 @@ both modules are validated before any arrow is derived.  The scans also
 give the arrow count, sum over classes C of |C| |Der(f_C)|, so a groupoid
 over its arrow budget is refused before any arrow is derived.
 
-The arrows are a lazy table (ArrowTable): three columns, src, dst and the
-residue rows of d.  An Arrow and its Derivation are built only when an item
-is read, and iterating builds the missing ones in one pass.  Readers that
-need only the ends or the rows read the columns: homotopy_classes takes the
-classes from src and dst, and the CLI encodes its output from all three,
-one d per distinct rows.  A HomGroupoid given a tuple of Arrows turns it
-into a table of those arrows, kept as given, so every reader has one path.
+The arrows are an ArrowTable, the same lazy sequence over three columns:
+src, dst and the residue rows of d.  An Arrow and its Derivation are built
+only when an item is read.  Readers that need only the ends or the rows
+read the columns: homotopy_classes takes the classes from src and dst, and
+the CLI encodes its output from all three.  A HomGroupoid given a tuple of
+Arrows turns it into a table of those arrows, kept as given.
 
 validate_groupoid stays independent of the class argument: it builds every
 arrow and adds the derivations of each composable pair once into a
@@ -58,7 +57,7 @@ from .algebras import (
     validate_crossed_module,
     validate_lie_algebra,
 )
-from .arrows import Arrow, ArrowTable, Rows
+from .arrows import Arrow, ArrowTable, LazySequence, Rows
 from .errors import (
     BudgetExceededError,
     FieldMismatchError,
@@ -93,8 +92,7 @@ class HomGroupoid:
             object.__setattr__(self, "arrows", ArrowTable.of(self.arrows))
 
     def arrows_from(self, i: int) -> list[Arrow]:
-        arrows = self.arrows
-        return [arrows[t] for t in arrows.positions_from(i)]
+        return [self.arrows[t] for t, s in enumerate(self.arrows.src) if s == i]
 
     def __str__(self):
         return (f"HOM({self.source_module.name}, {self.target_module.name}): "
@@ -109,33 +107,6 @@ def _require_prime(field: FieldSpec):
 def _check_budget(space: int, budget: int, what: str):
     if space > budget:
         raise BudgetExceededError(space, budget, what)
-
-
-class LazySequence(Sequence):
-    """A read-only sequence whose items are built on first access.
-
-    make(k) builds item k; each item is built once and then returned again
-    on every later access.  Length, negative indices, slices (as lists) and
-    iteration behave as on a list of the built items.
-    """
-
-    __slots__ = ("_items", "_make")
-
-    def __init__(self, length: int, make: Callable[[int], object]):
-        self._items: list = [None] * length
-        self._make = make
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self._items)))]
-        items = self._items
-        item = items[k]
-        if item is None:
-            item = items[k] = self._make(k % len(items))
-        return item
 
 
 class _Memo(dict):

@@ -227,8 +227,12 @@ class LinearMap:
         return Vector(self.field, out)
 
     def __str__(self):
-        return "[" + ",".join(
-            "[" + ",".join(map(str, row)) + "]" for row in self._numbers) + "]"
+        return _rows_text(self._numbers)
+
+
+def _rows_text(rows: Sequence[Sequence]) -> str:
+    """A map's str, from its stored rows."""
+    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in rows) + "]"
 
 
 def _entries(*maps: LinearMap) -> list:

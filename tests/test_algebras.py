@@ -1,6 +1,8 @@
 """Lie algebras, actions, crossed modules, and their axiom validators."""
 
 import pickle
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +109,40 @@ class TestBracket:
             aff.bracket(Vector.make(QQ, [1]), aff.basis(0))
         with pytest.raises(Exception):
             aff.bracket(Vector.make(GF3, [1, 0]), aff.basis(0))
+
+
+class TestBasisRows:
+    """basis_bracket and basis_act read one row of the stored tensor and
+    index it as the nested view is indexed, negative indices included."""
+
+    @staticmethod
+    def tensor(field, d0, d1, d2, seed):
+        rng = random.Random(seed)
+        return [[[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if field is QQ
+                  else rng.randint(-4, 4) for _ in range(d2)]
+                 for _ in range(d1)] for _ in range(d0)]
+
+    @staticmethod
+    def assert_rows(read, view, d0, d1, field):
+        for i in range(-d0, d0):
+            for j in range(-d1, d1):
+                assert read(i, j) == Vector(field, view[i][j]), (i, j)
+        for i, j in ((d0, 0), (-d0 - 1, 0), (0, d1), (0, -d1 - 1)):
+            with pytest.raises(IndexError):
+                read(i, j)
+
+    @pytest.mark.parametrize("field", [GF2, QQ])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 8])
+    def test_basis_bracket_is_the_views_row(self, field, dim):
+        alg = LieAlgebra("random", field, dim, self.tensor(field, dim, dim, dim, dim))
+        self.assert_rows(alg.basis_bracket, alg.structure, dim, dim, field)
+
+    @pytest.mark.parametrize("field", [GF2, QQ])
+    def test_basis_act_is_the_views_row(self, field):
+        actor = LieAlgebra.abelian("P", field, 2)
+        acted = LieAlgebra.abelian("M", field, 3)
+        action = LieAction(actor, acted, self.tensor(field, 2, 3, 3, 23))
+        self.assert_rows(action.basis_act, action.tensor, 2, 3, field)
 
 
 def raw_tensor(data, field, d0, d1, d2):

@@ -247,7 +247,7 @@ def assert_reads_as(value, field, scalars):
                for row in value.entries for e in row)
     assert str(value) == "[" + ",".join(
         "[" + ",".join(map(str, row)) + "]" for row in scalars) + "]"
-    assert _matrix_doc(value) == [[str(e) for e in row] for row in scalars]
+    assert _matrix_doc(value._numbers) == [[str(e) for e in row] for row in scalars]
 
 
 class TestOneStoredForm:
