@@ -1,4 +1,4 @@
-"""Lazy results: LazySequence, and ArrowTable, the one of a hom-groupoid's arrows.
+"""Lazy results: LazySequence, and ArrowTable, the lazy sequence of a groupoid's arrows.
 
 A LazySequence builds each item on first access and keeps it; the
 enumerations (see groupoid) return one.  build_hom_groupoid fills an

@@ -48,7 +48,7 @@ from .groupoid import (
 )
 from .homotopy import homotopy_target, is_f0_derivation, shift_morphism
 from .linalg import _rows_text
-from .morphisms import CrossedMorphism, validate_crossed_morphism
+from .morphisms import validate_crossed_morphism
 from .validation import ValidationReport
 
 
