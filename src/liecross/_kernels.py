@@ -9,16 +9,19 @@ the row-major positions of the unknown matrices, where positions is (t,)
 for a linear term and (s, t) for a bilinear one.  A constraint is the
 coordinate's lhs - rhs, so it holds when its monomials sum to zero.  The
 derivation law is written on every ordered pair (i, j), so nothing rests on
-the brackets alternating, and both readers take each distinct constraint
-once (_distinct).  The checks run in two stages:
+the brackets alternating.
 
-* The scans file the derivation law by highest position and walk the
-  digits depth first (below).
-* A Law compiles its laws for evaluation at a point.
-  validate_crossed_morphism and is_f0_derivation first evaluate their Law
-  at the lifted entries of the maps under test and return the passing
-  report when every constraint vanishes; only an input that fails goes
-  through the checks on vectors that build the witnesses.
+A Law is the one compiled form: each distinct constraint once (_distinct),
+filed under its highest position.  It has two readers, so a filing defect
+shows in both:
+
+* The scans walk the digits of the derivation law's Law depth first
+  (below).
+* Law.holds evaluates it at a point.  validate_crossed_morphism and
+  is_f0_derivation first evaluate their Law at the lifted entries of the
+  maps under test and return the passing report when every constraint
+  vanishes; only an input that fails goes through the checks on vectors
+  that build the witnesses.
 
 A candidate index names a rows x cols matrix over GF(p): entries are base-p
 digits of the index in row-major order, first entry most significant.  Each
@@ -47,8 +50,6 @@ coordinate of f0(e_i) acting on the b-th codomain basis vector.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter, mul
 
 # Reported as liecross.KERNEL_BACKEND: the kernels are plain Python.
 BACKEND = "pure"
@@ -136,73 +137,60 @@ def _distinct(p, constraints):
 
 
 class Law:
-    """Constraints compiled for evaluation at a point.
+    """Constraints compiled once, filed for the scans' walk and for holds.
 
-    holds(x) is True exactly when every constraint vanishes at x, the size
-    entries of the maps under test as a list of lifted numbers: mod p over
-    GF(p) (p the modulus), exactly over QQ (p None).  Each distinct
-    constraint (_distinct) is linear over x extended by the products its
-    bilinear terms need; it is kept as an itemgetter of those slots and
-    their coefficients.
+    Each distinct constraint (_distinct) is filed under its highest
+    position t as (terms, slope, q), read as a + b*v + q*v^2 in the entry v
+    at t: a sums c*x[s]*x[u] over terms (s, u, c), the monomials without t,
+    and b sums c*x[s] over slope (s, c), where position size reads as the
+    constant 1.  q is nonzero only for a bracket that does not alternate.
+    at[t] lists the constraints filed under t in first-seen order; p is the
+    modulus over GF(p) and None over QQ.
     """
 
     def __init__(self, p, size, constraints):
-        products: dict[tuple[int, int], int] = {}
-        rows = []
+        at = [[] for _ in range(size)]
         for merged in _distinct(p, constraints):
-            kept = [(key[0] if len(key) == 1
-                     else size + products.setdefault(key, len(products)), c)
-                    for key, c in merged.items()]
-            # Two slots at least, so the itemgetter returns a tuple.
-            kept += [(0, 0)] * (2 - len(kept))
-            slots, cs = zip(*kept)
-            rows.append((itemgetter(*slots), cs))
-        self._p = p
-        self._left = tuple(s for s, _ in products)
-        self._right = tuple(t for _, t in products)
-        self._rows = rows
+            t = max(map(max, merged))
+            terms, slope, q = [], [], 0
+            for key, c in merged.items():
+                if key == (t, t):
+                    q = c
+                elif key[-1] == t:
+                    slope.append((key[0] if len(key) == 2 else size, c))
+                else:
+                    terms.append((key[0], key[-1] if len(key) == 2 else size, c))
+            at[t].append((terms, slope, q))
+        self.p = p
+        self.at = at
 
     def holds(self, x) -> bool:
-        at = x.__getitem__
-        ext = [*x, *map(mul, map(at, self._left), map(at, self._right))]
-        p, rows = self._p, self._rows
-        if p is None:
-            return not any([sum(map(mul, cs, get(ext))) for get, cs in rows])
-        return not any([sum(map(mul, cs, get(ext))) % p for get, cs in rows])
+        """True exactly when every constraint vanishes at x, the size
+        entries of the maps under test as lifted numbers: mod p over GF(p),
+        exactly over QQ."""
+        x = [*x, 1]
+        p = self.p
+        for t, filed in enumerate(self.at):
+            v = x[t]
+            for terms, slope, q in filed:
+                a = b = 0
+                for s, u, c in terms:
+                    a += x[s] * x[u] * c
+                for s, c in slope:
+                    b += x[s] * c
+                a += (b + q * v) * v
+                if a % p if p else a:
+                    return False
+        return True
 
 
-def _constraints(p, dom_br, act, cod_br, rows, cols):
-    """The derivation law on every ordered pair, each distinct constraint
-    once (_distinct), filed by highest position t as a + b*v + q*v^2 in the
-    digit v at t.
-
-    Entry t lists (terms, slope, q) in first-seen order: a sums c*digit
-    s*digit u over terms (s, u, c), the monomials without t, and b sums
-    c*digit s over slope (s, c), where position rows*cols reads as 1.  q is
-    nonzero only for a bracket that does not alternate.
-    """
-    one = rows * cols
-    at = [[] for _ in range(one)]
-    for merged in _distinct(p, derivation_law(dom_br, act, cod_br, rows, cols)):
-        t = max(map(max, merged))
-        terms, slope, q = [], [], 0
-        for key, c in merged.items():
-            if key == (t, t):
-                q = c
-            elif key[-1] == t:
-                slope.append((key[0] if len(key) == 2 else one, c))
-            else:
-                terms.append((key[0], key[-1] if len(key) == 2 else one, c))
-        at[t].append((terms, slope, q))
-    return at
-
-
-def _walk(p, at, start, stop):
-    """Survivors in [start, stop) of the filed constraints, depth first.
+def _walk(law, start, stop):
+    """Survivors in [start, stop) of law over GF(law.p), depth first.
 
     At digit t an affine constraint (q = 0) pins v = -a/b when b != 0 and
     needs a = 0 when b = 0; quadratic ones are checked on each value left.
     """
+    p, at = law.p, law.at
     n = len(at)
     free = max([t + 1 for t in range(n) if at[t]], default=0)
     width = p ** (n - free)
@@ -252,7 +240,7 @@ def scan_lie_morphisms(p, dom_br, cod_br, rows, cols, start, stop):
     """Indices of F with F[e_i, e_j] = [F e_i, F e_j] on every ordered pair
     (i, j): the derivation law with the zero action, each distinct
     constraint once."""
-    return _walk(p, _constraints(p, dom_br, None, cod_br, rows, cols),
+    return _walk(Law(p, rows * cols, derivation_law(dom_br, None, cod_br, rows, cols)),
                  start, stop)
 
 
@@ -264,5 +252,5 @@ def scan_derivations(p, dom_br, act, cod_br, rows, cols, start, stop):
 
     with the action of f0 precomputed into act.
     """
-    return _walk(p, _constraints(p, dom_br, act, cod_br, rows, cols),
+    return _walk(Law(p, rows * cols, derivation_law(dom_br, act, cod_br, rows, cols)),
                  start, stop)

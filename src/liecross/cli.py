@@ -100,11 +100,12 @@ def _write(pieces: Iterable[str], *writes: Callable[[str], object]) -> None:
             write(text)
 
 
-def _emit(args, out, text_lines: list[str], data: dict):
+def _emit(args, out, text: Callable[[], Iterable[str]], data: Callable[[], dict]):
+    """Write the report in the chosen format; only that rendering is built."""
     if args.format == "structured":
-        _write(chain(_JSON.iterencode(data), ["\n"]), out.write)
+        _write(chain(_JSON.iterencode(data()), ["\n"]), out.write)
     else:
-        _write((line + "\n" for line in text_lines), out.write)
+        _write((line + "\n" for line in text()), out.write)
 
 
 def _module_report(xm) -> ValidationReport:
@@ -129,11 +130,10 @@ def _workspace_reports(ws: Workspace) -> list[ValidationReport]:
 
 def _cmd_validate(ws: Workspace, args, out) -> int:
     reports = _workspace_reports(ws)
-    lines = [line for report in reports for line in report.lines()]
     ok = all(report.ok for report in reports)
-    _emit(args, out, lines,
-          {"command": "validate", "ok": ok,
-           "reports": [_report_json(r) for r in reports]})
+    _emit(args, out, lambda: [line for report in reports for line in report.lines()],
+          lambda: {"command": "validate", "ok": ok,
+                   "reports": [_report_json(r) for r in reports]})
     return 0 if ok else 1
 
 
@@ -142,26 +142,26 @@ def _cmd_enumerate_morphisms(ws: Workspace, args, out) -> int:
     target = ws.require_module(args.target)
     found = enumerate_morphisms(source, target,
                                 budget=args.budget, workers=args.workers)
-    lines = [f"morphisms={len(found)}"]
-    lines += [f"morphism {i}: f1={f.f1} f0={f.f0}"
-              for i, f in enumerate(found)]
-    _emit(args, out, lines,
-          {"command": "enumerate-morphisms", "count": len(found),
-           "morphisms": [{"f1": _matrix_doc(f.f1._numbers), "f0": _matrix_doc(f.f0._numbers)}
-                         for f in found]})
+    _emit(args, out,
+          lambda: [f"morphisms={len(found)}",
+                   *(f"morphism {i}: f1={f.f1} f0={f.f0}"
+                     for i, f in enumerate(found))],
+          lambda: {"command": "enumerate-morphisms", "count": len(found),
+                   "morphisms": [{"f1": _matrix_doc(f.f1._numbers),
+                                  "f0": _matrix_doc(f.f0._numbers)}
+                                 for f in found]})
     return 0
 
 
 def _cmd_enumerate_derivations(ws: Workspace, args, out) -> int:
     base = ws.require_morphism(args.base)
     found = enumerate_derivations(base, budget=args.budget, workers=args.workers)
-    lines = [f"derivations={len(found)}"]
-    lines += [f"derivation {i}: d={h.d}"
-              for i, h in enumerate(found)]
-    _emit(args, out, lines,
-          {"command": "enumerate-derivations", "base": args.base,
-           "count": len(found),
-           "derivations": [{"d": _matrix_doc(h.d._numbers)} for h in found]})
+    _emit(args, out,
+          lambda: [f"derivations={len(found)}",
+                   *(f"derivation {i}: d={h.d}" for i, h in enumerate(found))],
+          lambda: {"command": "enumerate-derivations", "base": args.base,
+                   "count": len(found),
+                   "derivations": [{"d": _matrix_doc(h.d._numbers)} for h in found]})
     return 0
 
 
@@ -267,12 +267,12 @@ def _cmd_classes(ws: Workspace, args, out) -> int:
     # One derivation scan per class gives the classes; no arrow is built.
     objects, scans = _class_scans(source, target, args.budget)
     classes = [sorted({j for _, j in reach}) for reach in scans]
-    line = (f"objects={len(objects)} classes={len(classes)} "
-            f"sizes={_sizes_text(classes)}")
-    _emit(args, out, [line],
-          {"command": "classes", "objects": len(objects),
-           "classes": len(classes),
-           "sizes": sorted(len(c) for c in classes)})
+    _emit(args, out,
+          lambda: [f"objects={len(objects)} classes={len(classes)} "
+                   f"sizes={_sizes_text(classes)}"],
+          lambda: {"command": "classes", "objects": len(objects),
+                   "classes": len(classes),
+                   "sizes": sorted(len(c) for c in classes)})
     return 0
 
 
@@ -286,19 +286,17 @@ def _cmd_check_homotopy(ws: Workspace, args, out) -> int:
     if f.source != g.source or f.target != g.target:  # a usage error
         raise EndpointMismatchError("morphisms do not share endpoints")
     ok = equations_ok and law.ok
-    lines = []
     if equations_ok:
-        lines.append(f"{args.via} homotopy_equations PASS")
+        equations = f"{args.via} homotopy_equations PASS"
     else:
         side = "g0" if shifted.f0 != g.f0 else "g1"
-        lines.append(f"{args.via} homotopy_equations FAIL {side} differs "
+        equations = (f"{args.via} homotopy_equations FAIL {side} differs "
                      "from the shifted morphism")
     law.subject = args.via
-    lines += law.lines()
-    _emit(args, out, lines,
-          {"command": "check-homotopy", "from": args.from_, "to": args.to,
-           "via": args.via, "connects": ok,
-           "equations_ok": equations_ok, "law": _report_json(law)})
+    _emit(args, out, lambda: [equations, *law.lines()],
+          lambda: {"command": "check-homotopy", "from": args.from_, "to": args.to,
+                   "via": args.via, "connects": ok,
+                   "equations_ok": equations_ok, "law": _report_json(law)})
     return 0 if ok else 1
 
 
@@ -310,16 +308,17 @@ def _cmd_target(ws: Workspace, args, out) -> int:
     except InvalidDerivationError as exc:
         report = exc.report
         report.subject = args.via
-        _emit(args, out, report.lines(),
-              {"command": "target", "from": args.from_, "via": args.via,
-               "ok": False, "law": _report_json(report)})
+        _emit(args, out, report.lines,
+              lambda: {"command": "target", "from": args.from_, "via": args.via,
+                       "ok": False, "law": _report_json(report)})
         return 1
-    lines = [f"{args.via} derivation_law PASS",
-             f"target: f1={g.f1} f0={g.f0}"]
-    _emit(args, out, lines,
-          {"command": "target", "from": args.from_, "via": args.via,
-           "ok": True,
-           "target": {"f1": _matrix_doc(g.f1._numbers), "f0": _matrix_doc(g.f0._numbers)}})
+    _emit(args, out,
+          lambda: [f"{args.via} derivation_law PASS",
+                   f"target: f1={g.f1} f0={g.f0}"],
+          lambda: {"command": "target", "from": args.from_, "via": args.via,
+                   "ok": True,
+                   "target": {"f1": _matrix_doc(g.f1._numbers),
+                              "f0": _matrix_doc(g.f0._numbers)}})
     return 0
 
 

@@ -155,8 +155,7 @@ def _parse_matrix(field: FieldSpec, node, rows: int, cols: int,
                                 f"expected {cols} entries, got {len(row)}")
         entries.append([_parse_scalar(field, cell, f"{path}[{r}][{c}]")
                         for c, cell in enumerate(row)])
-    return LinearMap.from_rows(field, entries) if rows and cols else \
-        LinearMap.zero(field, rows, cols)
+    return LinearMap(field, rows, cols, entries)
 
 
 def _parse_field_spec(node, path: str) -> FieldSpec:

@@ -11,10 +11,10 @@ d + d' provide identities, inverses and composition.
 
 d is a LinearMap, so every arrow operation is map arithmetic on the
 field's lifted numbers (see linalg).  is_f0_derivation evaluates the
-derivation law compiled at f (see _kernels and
-CrossedMorphism._derivation_law) at d's stored entries first and returns
-the passing report straight from it; only a d that fails runs the check on
-basis vectors, which builds the Vector witnesses.
+derivation law's Law at f (CrossedMorphism._derivation_law), the filed
+form the derivation scan walks (see _kernels), at d's stored entries first
+and returns the passing report straight from it; only a d that fails runs
+the check on basis vectors, which builds the Vector witnesses.
 """
 
 from __future__ import annotations

@@ -5,11 +5,11 @@ both Lie algebra morphisms, intertwine the actions, and commute with the
 boundaries.  Equality is structural on endpoints and matrices, so enumerated
 morphisms deduplicate and hash consistently.
 
-validate_crossed_morphism first evaluates its compiled law (see _kernels)
-at the maps' lifted entries and returns the passing report straight from
-it.  Only an input that fails runs the checks on basis vectors, which
-build the witnesses.  The law is compiled on first use and kept on the source
-module, by target.
+validate_crossed_morphism first evaluates its Law (see _kernels), the
+filed form the scans walk, at the maps' lifted entries and returns the
+passing report straight from it.  Only an input that fails runs the checks
+on basis vectors, which build the witnesses.  The Law is compiled on first
+use and kept on the source module, by target.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ report lists all failing tuples of a check in that order; lines() shows the
 first.
 
 validate_crossed_morphism and is_f0_derivation, which homotopy_target
-calls on every shift, check in two stages.  They first evaluate the law compiled from their tensors (see
-_kernels) at the lifted entries of the maps under test; when every residue
-term vanishes they return the passing report directly, with the same
+calls on every shift, check in two stages.  They first evaluate the Law
+compiled from their tensors, the filed form the scans also walk (see
+_kernels), at the lifted entries of the maps under test; when every filed
+constraint vanishes they return the passing report directly, with the same
 subject and the same checks in the same order.  Only an input that fails
 runs the checks on vectors through ValidationReport.check, which build the
 witnesses, so failing reports are the same whichever stage decided.

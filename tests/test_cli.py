@@ -23,6 +23,7 @@ from liecross import (
     parse_workspace,
     serialize_workspace,
 )
+from liecross import cli, linalg
 from liecross.cli import BATCH_CHARS, _groupoid_document, _groupoid_lines, run_command
 from liecross.groupoid import DEFAULT_ARROW_BUDGET, DEFAULT_BUDGET, _class_scans
 
@@ -548,12 +549,16 @@ BROKEN_LAW_DOC = (
 class TestReportBytes:
     """validate, target and check-homotopy stdout, pinned by sha256 in both
     formats on the README workspace (with the morphisms its check-homotopy
-    example names) and on a copy that fails a law of each kind."""
+    example names) and on a copy that fails a law of each kind; the two
+    enumerations and classes on the README workspace only."""
 
     COMMANDS = {
         "validate": [],
         "target": ["--from", "ident", "--via", "shear"],
         "check-homotopy": ["--from", "ident", "--to", "shifted", "--via", "shear"],
+        "enumerate-morphisms": ["--source", "X_aff", "--target", "X_aff"],
+        "enumerate-derivations": ["--base", "ident"],
+        "classes": ["--hom", "X_aff", "X_aff"],
     }
     DIGESTS = {
         ("passing", "validate", "text"):
@@ -580,11 +585,22 @@ class TestReportBytes:
             "54d382ec11d683f259d32fbc7b1e6dbc2e419ae890f42e67ea2d15ed9272b5de",
         ("broken", "check-homotopy", "structured"):
             "c014233583f2ba4150b63e0bae461f4f25f7d6a76c767b92f51c3d04065cc1ad",
+        ("passing", "enumerate-morphisms", "text"):
+            "93f59b0a5ea9a78802921aa924ca2d5f2bdf1f2edbe1f1fe8ee9817ff349a567",
+        ("passing", "enumerate-morphisms", "structured"):
+            "e1b8749d50df23d87bfe7fbd8488c0bf782c2363ddf54dd8c06219631c6b9fc7",
+        ("passing", "enumerate-derivations", "text"):
+            "a8ba8c2b7b7b85f99daef094583a85de6a40a8521a9ab2f7184f9e847228582d",
+        ("passing", "enumerate-derivations", "structured"):
+            "1b310ec229d3974d62c8a6aa6239c6ea39ca616676c1f951615f5a2d1b201936",
+        ("passing", "classes", "text"):
+            "8857384f9caa770e5e6dd0cb91e2624a62fceafee49c35b0f741e1126b8e6979",
+        ("passing", "classes", "structured"):
+            "481b43580aff94c53dfa15f7fcde54d691ca3c7e2d17aedda758e33606fa1725",
     }
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    @pytest.mark.parametrize("doc", ["passing", "broken"])
+    @pytest.mark.parametrize("doc, command", sorted({key[:2] for key in DIGESTS}))
     def test_stdout_digest(self, tmp_path, doc, command, fmt):
         path = tmp_path / "ws.yaml"
         path.write_text(X_AFF_DOC if doc == "passing" else BROKEN_LAW_DOC)
@@ -593,6 +609,18 @@ class TestReportBytes:
         assert code == (0 if doc == "passing" else 1)
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.DIGESTS[doc, command, fmt]
+
+    @pytest.mark.parametrize("fmt, unused", [("text", (cli, "_matrix_doc")),
+                                             ("structured", (linalg, "_rows_text"))],
+                             ids=["text", "structured"])
+    def test_other_format_is_not_rendered(self, ws_path, monkeypatch, fmt, unused):
+        def refuse(*args):
+            raise AssertionError(f"{fmt} output rendered with {unused[1]}")
+        monkeypatch.setattr(*unused, refuse)
+        code, text = run(["enumerate-morphisms", ws_path, "--source", "X_aff",
+                          "--target", "X_aff", "--format", fmt])
+        assert code == 0
+        assert text.startswith("morphisms=" if fmt == "text" else "{")
 
 
 def module_document(tmp_path, xmod, name="X"):

@@ -2,7 +2,14 @@
 
 import pytest
 
-from liecross import FieldSpec, LieAlgebra, Workspace, validate_lie_algebra
+from battery import lines_module
+from liecross import (
+    FieldSpec,
+    LieAlgebra,
+    Workspace,
+    identity_morphism,
+    validate_lie_algebra,
+)
 from liecross.documents import parse_workspace, serialize_workspace
 from liecross.errors import DocumentError
 
@@ -169,6 +176,18 @@ class TestRoundTrip:
         assert again.require_morphism("ident") == ws.require_morphism("ident")
         assert again.require_derivation("shear").d \
             == ws.require_derivation("shear").d
+
+    @pytest.mark.parametrize("m, p", [(0, 1), (1, 0), (0, 0)])
+    def test_empty_maps_round_trip(self, m, p):
+        # The boundary is p x m and the identity's f1 or f0 is 0 x 0.
+        xmod = lines_module(FieldSpec.prime(3), m, p)
+        ws = Workspace(xmod.field)
+        ws.algebras["m"], ws.algebras["p"] = xmod.m_algebra, xmod.p_algebra
+        ws.crossed_modules["X"] = xmod
+        ws.morphisms["ident"] = identity_morphism(xmod)
+        again = parse_workspace(serialize_workspace(ws))
+        assert again.require_module("X") == xmod
+        assert again.require_morphism("ident") == identity_morphism(xmod)
 
     def test_serializer_emits_sparse_lower_triangle_only(self):
         ws = parse_workspace(X_AFF_DOC)

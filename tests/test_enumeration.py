@@ -5,6 +5,7 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
+from math import prod
 from unittest import mock
 
 import pytest
@@ -632,15 +633,20 @@ def scan_inputs(draw):
     return p, rows, cols, dom_br, act, cod_br, start, stop
 
 
+def candidate_digits(p, n, index):
+    """The n base-p digits of a candidate index, most significant first."""
+    digits = []
+    for _ in range(n):
+        index, digit = divmod(index, p)
+        digits.append(digit)
+    return digits[::-1]
+
+
 def law_holds(p, rows, cols, dom_br, act, cod_br, index):
     """The scan_derivations law at one candidate, straight from its formula:
     D[e_i, e_j] = f0(e_i).D(e_j) - f0(e_j).D(e_i) + [D(e_i), D(e_j)] for
     every ordered pair (i, j), coordinate r; act=None is the zero action."""
-    digits = []
-    for _ in range(rows * cols):
-        index, digit = divmod(index, p)
-        digits.append(digit)
-    digits.reverse()
+    digits = candidate_digits(p, rows * cols, index)
 
     def d(r, c):
         return digits[r * cols + c]
@@ -689,6 +695,13 @@ class TestScanProperty:
                if law_holds(p, rows, cols, dom_br, None, cod_br, k)]
         assert _kernels.scan_lie_morphisms(p, dom_br, cod_br, rows, cols,
                                            start, stop) == lie
+        # Law.holds reads the Law the walk reads, and agrees with it at
+        # every candidate.
+        for law_act, kept in ((act, expected), (None, lie)):
+            law = _kernels.Law(p, rows * cols, _kernels.derivation_law(
+                dom_br, law_act, cod_br, rows, cols))
+            assert [k for k in range(start, stop)
+                    if law.holds(candidate_digits(p, rows * cols, k))] == kept
 
 
 def heisenberg_endomorphisms(p):
@@ -748,12 +761,6 @@ def multiple(p, terms, k):
             for c, positions in reversed(terms)]
 
 
-def filed_slots(law, size):
-    """A Law's compiled rows as (slots, coefficients) and its products."""
-    return ([(get(range(size + len(law._left))), cs) for get, cs in law._rows],
-            law._left, law._right)
-
-
 class TestDistinctConstraints:
     """Constraints are filed once each, up to a nonzero multiple."""
 
@@ -772,14 +779,18 @@ class TestDistinctConstraints:
         repeated = [c for terms in alone
                     for c in (terms, multiple(p, terms, data.draw(factors)))]
         size = rows * cols
-        assert filed_slots(_kernels.Law(p, size, repeated), size) \
-            == filed_slots(_kernels.Law(p, size, alone), size)
-        if p:
-            def filed(constraints):
-                with mock.patch.object(_kernels, "derivation_law",
-                                       lambda *args: iter(constraints)):
-                    return _kernels._constraints(p, dom_br, act, cod_br, rows, cols)
-            assert filed(repeated) == filed(alone)
+        law = _kernels.Law(p, size, alone)
+        assert _kernels.Law(p, size, repeated).at == law.at
+        if p is None:
+            # holds is True exactly where every raw constraint vanishes;
+            # zero-heavy points, so that points off zero pass too.
+            values = st.sampled_from([0] * 6 + [1, -1, Fraction(1, 2)]).map(Fraction)
+            for _ in range(3):
+                x = data.draw(st.lists(values, min_size=size, max_size=size))
+                assert law.holds(x) == all(
+                    sum(c * prod(map(x.__getitem__, positions))
+                        for c, positions in terms) == 0
+                    for terms in alone)
 
     @settings(max_examples=100, deadline=None)
     @given(scan_inputs(), st.data())
@@ -798,11 +809,8 @@ class TestDistinctConstraints:
         dom_br, cod_br = alternating(cols), alternating(rows)
         # derivation_law's constraint (i, j, r) comes at index
         # (i * cols + j) * rows + r.
-        law = _kernels.derivation_law(dom_br, act, cod_br, rows, cols)
+        law = list(_kernels.derivation_law(dom_br, act, cod_br, rows, cols))
         below = [terms for n, terms in enumerate(law)
                  if n // rows // cols < n // rows % cols]
-        all_pairs = _kernels._constraints(p, dom_br, act, cod_br, rows, cols)
-        with mock.patch.object(_kernels, "derivation_law",
-                               lambda *args: iter(below)):
-            assert _kernels._constraints(p, dom_br, act, cod_br, rows, cols) \
-                == all_pairs
+        assert _kernels.Law(p, rows * cols, below).at \
+            == _kernels.Law(p, rows * cols, law).at
